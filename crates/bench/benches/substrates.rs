@@ -6,7 +6,8 @@
 //! regressions on protocol message complexity.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use dynamo::{Ring, VectorClock};
+use dynamo::VectorClock;
+use quicksand::membership::HashRing;
 use sim::{SimDuration, SimTime};
 use tandem::{run as run_tandem, Mode, TandemConfig};
 
@@ -42,7 +43,7 @@ fn bench_tandem(c: &mut Criterion) {
 }
 
 fn bench_ring(c: &mut Criterion) {
-    let ring = Ring::new(16, 128);
+    let ring = HashRing::new(16, 128);
     c.bench_function("ring/preference_list_n3", |b| {
         let mut key = 0u64;
         b.iter(|| {
@@ -74,7 +75,7 @@ fn bench_cart(c: &mut Criterion) {
             vec![CartAction::Add { item: 1, qty: 1 }, CartAction::Remove { item: 1 }],
             vec![CartAction::Add { item: 2, qty: 1 }, CartAction::Add { item: 3, qty: 1 }],
         ],
-        partition: Some((SimTime::from_millis(20), SimTime::from_secs(3))),
+        faults: CartScenario::default().split(SimTime::from_millis(20), SimTime::from_secs(3)),
         horizon: SimTime::from_secs(20),
         ..CartScenario::default()
     };

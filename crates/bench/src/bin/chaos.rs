@@ -27,6 +27,7 @@ use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
 use quicksand_bench::artifacts::ArtifactStream;
+use quicksand_bench::cli::{arg_flag, arg_value};
 
 use quicksand::cart::CartMode;
 use quicksand::chaos::{
@@ -87,46 +88,27 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    if let Some(pos) = args.iter().position(|a| a == flag) {
-        args.remove(pos);
-        true
-    } else {
-        false
-    }
-}
-
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.remove(pos);
-    if pos >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    }
-    Some(args.remove(pos))
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let seeds: u64 = match take_value(&mut args, "--seeds") {
+    let seeds: u64 = match arg_value(&mut args, "--seeds") {
         Some(s) => s.parse().unwrap_or_else(|_| {
             eprintln!("--seeds needs a number");
             std::process::exit(2);
         }),
         None => 50,
     };
-    let deny_failures = take_flag(&mut args, "--deny-failures");
-    let deny_open_guesses = take_flag(&mut args, "--deny-open-guesses");
-    let json_out = take_value(&mut args, "--json-out");
-    let ledger_json = take_value(&mut args, "--ledger-json");
-    let artifacts_dir = take_value(&mut args, "--artifacts-dir").map(PathBuf::from);
-    let explain_seed: Option<u64> = take_value(&mut args, "--explain").map(|s| {
+    let deny_failures = arg_flag(&mut args, "--deny-failures");
+    let deny_open_guesses = arg_flag(&mut args, "--deny-open-guesses");
+    let json_out = arg_value(&mut args, "--json-out");
+    let ledger_json = arg_value(&mut args, "--ledger-json");
+    let artifacts_dir = arg_value(&mut args, "--artifacts-dir").map(PathBuf::from);
+    let explain_seed: Option<u64> = arg_value(&mut args, "--explain").map(|s| {
         s.parse().unwrap_or_else(|_| {
             eprintln!("--explain needs a seed number");
             std::process::exit(2);
         })
     });
-    let only_scenario = take_value(&mut args, "--scenario");
+    let only_scenario = arg_value(&mut args, "--scenario");
     if !args.is_empty() {
         eprintln!("unknown arguments: {args:?}");
         eprintln!(

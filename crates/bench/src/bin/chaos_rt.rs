@@ -7,64 +7,47 @@
 //! Three services, all built from unmodified sim actors:
 //!
 //! - **cart**: an N-store dynamo ring of CRDT carts over real TCP
-//!   sockets with closed-loop [`LoadClient`]s. Audit: every acked add is
-//!   in the reconciled join of the stores; the guess ledger is settled.
+//!   sockets with closed-loop [`LoadClient`]s.
 //! - **membership**: the same cart service with a standby store, under
 //!   plans that mix `add_node`/`remove_node` clauses (applied through
 //!   the chaos controller's membership hook as live `CtlJoin`/`CtlLeave`)
-//!   with crashes and partitions. Audit: the spare ends in the ring, the
-//!   leaver ends departed, every rebalance transfer acked, and no acked
-//!   add was lost across the resize.
+//!   with crashes and partitions.
 //! - **evlog**: a file-backed [`EventLogNode`] broker (OnFsync acks)
-//!   with a windowed [`Producer`], on the loopback transport. Audit:
-//!   every acked append survives crash-torn recovery in the leader's
-//!   log; orphaned guesses (promises the crash voided) are apologized,
-//!   not left open.
+//!   with a windowed [`Producer`], on the loopback transport: every
+//!   acked append must survive crash-torn recovery in the leader's log.
 //!
-//! Each row pins its seed with [`FaultPlan::covering_seed`], so every
-//! cell exercises a crash, a partition (two-sided or one-way), *and* a
-//! degraded link, while remaining a plain `generate` product anyone can
-//! replay from the seed.
+//! Standing a cell up, driving it, settling it and auditing it is
+//! [`quicksand::service`]; a cell passes iff [`ServiceAudit::check`]
+//! does. This bin owns the grid — services, specs, and seeds pinned
+//! with [`FaultPlan::covering_seed`] so every cell exercises each
+//! enabled clause kind while staying a plain `generate` product anyone
+//! can replay — plus the evlog cell's own loss check, the durable
+//! round trip of each cell's incident ring through an
+//! [`IncidentStream`] under `--dir`, and the table / `--out` JSON.
 //!
 //! ```text
 //! cargo run -p quicksand-bench --release --bin chaos_rt -- --out E21.json
 //! cargo run -p quicksand-bench --release --bin chaos_rt -- --quick   # CI smoke
 //! ```
 //!
-//! Exit is nonzero if any cell loses an acked op, leaves a guess open
-//! after quiescence, mis-accounts the plan (clause edges applied !=
-//! timeline length, restarts != crash clauses), or fails the incident
-//! audit: every crash clause must have filed exactly one chaos-crash
-//! incident whose causal slice contains the crash edge, and the cell's
-//! incident ring must survive a durable round trip through an
-//! [`IncidentStream`] under `--dir`.
+//! Exit is nonzero if any cell fails its audit or its incidents do not
+//! survive reopen.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use cart::CrdtCart;
-use dynamo::{DynamoConfig, StoreNode};
 use quicksand::eventlog::{AckPolicy, BrokerConfig, DirKind, EventLogNode, LogConfig, Producer};
+use quicksand::service::{
+    add_stores, audit, fault_spec, settle, wait_chaos, wait_done, LoadClient, ServiceAudit,
+    ServiceMsg,
+};
+use quicksand_bench::cli::{arg_flag, arg_value};
 use quicksand_bench::incidents::IncidentStream;
-use quicksand_bench::service::{
-    add_crdt_stores, add_crdt_stores_with_spares, LoadClient, ServiceMsg,
-};
-use quicksand_runtime::{Runtime, RuntimeBuilder};
-use sim::{
-    EngineCore, FaultPlan, FaultSpec, FlightKind, Incident, IncidentKind, NodeId, SimDuration,
-    SimTime,
-};
+use quicksand_runtime::RuntimeBuilder;
+use sim::{EngineCore, FaultPlan, FaultSpec, NodeId, SimDuration, SimTime};
 
-fn arg_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.remove(pos);
-    if pos >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    }
-    Some(args.remove(pos))
-}
+const TIMEOUT: Duration = Duration::from_secs(120);
 
 /// One audited cell of the grid.
 struct Cell {
@@ -72,172 +55,59 @@ struct Cell {
     base_seed: u64,
     seed: u64,
     clauses: usize,
-    crash_clauses: usize,
-    acked: u64,
-    lost: u64,
-    open_guesses: u64,
-    orphaned_guesses: u64,
-    restarts: u64,
-    clause_edges: u64,
-    /// Chaos-crash incidents the runtime's black box filed.
-    incidents: u64,
-    /// Every incident's causal slice contains its own crash edge.
-    incident_slices_ok: bool,
+    /// The shared audit: acked/lost, ledger, chaos accounting, incidents.
+    audit: ServiceAudit,
     /// Records in the cell's durable incident stream after reopen.
     incidents_durable: u64,
     elapsed_secs: f64,
 }
 
 impl Cell {
-    /// The invariants every cell must satisfy, as one pass/fail.
+    /// The shared audit's verdict, plus this bin's own durability check.
     fn ok(&self) -> bool {
-        self.lost == 0
-            && self.open_guesses == 0
-            && self.restarts == self.crash_clauses as u64
-            && self.clause_edges > 0
-            && self.incidents == self.crash_clauses as u64
-            && self.incident_slices_ok
-            && self.incidents_durable >= self.incidents
+        self.audit.check().is_ok() && self.incidents_durable >= self.audit.incidents.len() as u64
+    }
+
+    fn crash_clauses(&self) -> u64 {
+        self.audit.planned.map_or(0, |(crashes, _)| crashes)
     }
 }
 
-/// Audit the black box and make it durable: count the chaos-crash
-/// incidents filed, verify each slice contains its own crash edge,
-/// persist the whole ring to an [`IncidentStream`] under `dir`, and
-/// reopen from disk to prove the records outlive the writer. Returns
-/// `(chaos_crash_incidents, slices_ok, durable_records)`.
-fn audit_incidents(core: &EngineCore, dir: &Path) -> (u64, bool, u64) {
-    let crashes: Vec<&Incident> =
-        core.incidents.iter().filter(|i| i.kind == IncidentKind::ChaosCrash).collect();
-    let slices_ok = crashes.iter().all(|inc| {
-        inc.explanation
-            .slice
-            .events
-            .iter()
-            .any(|e| e.id == inc.target && e.kind == FlightKind::Crash)
-    });
+/// Make the black box durable: persist the whole incident ring to an
+/// [`IncidentStream`] under `dir`, and reopen from disk to prove the
+/// records outlive the writer. Returns the durable record count.
+fn persist_incidents(core: &EngineCore, dir: &Path) -> u64 {
     let stream_dir = dir.join("incidents");
     let mut s = IncidentStream::open(&stream_dir);
     for inc in core.incidents.iter() {
         s.append(inc);
     }
     drop(s);
-    let durable = IncidentStream::open(&stream_dir).replay().len() as u64;
-    (crashes.len() as u64, slices_ok, durable)
+    IncidentStream::open(&stream_dir).replay().len() as u64
 }
 
-/// Wait for the attached plan to finish, then let anti-entropy settle.
-fn drain_chaos<M: Send + 'static>(rt: &Runtime<M>, what: &str, settle: Duration) {
-    let chaos = rt.chaos().expect("chaos attached");
-    if !chaos.wait_finished(Duration::from_secs(120)) {
-        eprintln!("{what}: fault plan still running after 120s");
-        std::process::exit(1);
-    }
-    std::thread::sleep(settle);
+fn stalled(service: &str, seed: u64, e: impl std::fmt::Display) -> ! {
+    eprintln!("{service} cell seed {seed}: {e}");
+    std::process::exit(1);
 }
 
 // ----------------------------------------------------------------- cart
 
-const CART_STORES: u32 = 4;
-const CART_CLIENTS: u32 = 3;
-const CART_KEYS: u64 = 64;
+const STORES: u32 = 4;
+const CLIENTS: u32 = 3;
+const KEYS: u64 = 64;
 
-fn cart_spec(window_ms: u64, clauses: usize) -> FaultSpec {
-    let all: Vec<NodeId> = (0..(CART_STORES + CART_CLIENTS) as usize).map(NodeId).collect();
-    let stores: Vec<NodeId> = (0..CART_STORES as usize).map(NodeId).collect();
-    FaultSpec::new(all)
-        .crashable(stores)
-        .window(SimTime::from_millis(150), SimTime::from_millis(window_ms))
-        .faults(clauses, clauses)
-        // covering_seed needs a clause of every enabled kind; with only
-        // 3 clauses that leaves room for crash + partition + degrade.
-        .oneway(clauses >= 4)
-}
-
-fn cart_cell(base_seed: u64, clauses: usize, ops_per_client: u64, dir: &Path) -> Cell {
-    let spec = cart_spec(2200, clauses);
-    let seed = FaultPlan::covering_seed(base_seed, &spec);
-    let plan = FaultPlan::generate(seed, &spec);
-    eprintln!("cart cell (seed {seed}, {clauses} clauses):\n{plan}");
-    let cell_dir = dir.join(format!("cart-{seed}"));
-    let _ = std::fs::remove_dir_all(&cell_dir);
-
-    let mut b = RuntimeBuilder::new().chaos(plan.clone(), seed);
-    let store_ids = add_crdt_stores(&mut b, CART_STORES, &DynamoConfig::default());
-    let clients: Vec<NodeId> = (0..CART_CLIENTS)
-        .map(|c| b.add_node(LoadClient::new(c, store_ids.clone(), ops_per_client, CART_KEYS, 60)))
-        .collect();
-    let started = Instant::now();
-    let rt = b.launch_tcp().expect("tcp launch");
-    let deadline = started + Duration::from_secs(120);
-    while !clients.iter().all(|&c| rt.inspect::<LoadClient, bool, _>(c, |cl| cl.done())) {
-        if Instant::now() > deadline {
-            eprintln!("cart cell seed {seed}: clients stalled");
-            std::process::exit(1);
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    drain_chaos(&rt, "cart", Duration::from_millis(900));
-    let elapsed = started.elapsed().as_secs_f64();
-    let report = rt.shutdown();
-
-    let mut acked: Vec<(u64, u64)> = Vec::new();
-    for &c in &clients {
-        acked.extend(report.actor::<LoadClient>(c).acked_adds.iter().copied());
-    }
-    let stores: Vec<&StoreNode<CrdtCart>> =
-        store_ids.iter().map(|&s| report.actor::<StoreNode<CrdtCart>>(s)).collect();
-    let lost = acked
-        .iter()
-        .filter(|(key, item)| {
-            !quicksand_bench::service::reconciled_cart(&stores, *key).contains_key(item)
-        })
-        .count() as u64;
-
-    let acc = report.core.ledger.accounting();
-    let (incidents, incident_slices_ok, incidents_durable) =
-        audit_incidents(&report.core, &cell_dir);
-    Cell {
-        service: "cart/tcp",
-        base_seed,
-        seed,
-        clauses,
-        crash_clauses: plan.count_kind("crash"),
-        acked: acked.len() as u64,
-        lost,
-        open_guesses: acc.open(),
-        orphaned_guesses: acc.orphaned(),
-        restarts: report.core.metrics.counter("runtime.restarts"),
-        clause_edges: report.core.metrics.counter("runtime.chaos_clauses"),
-        incidents,
-        incident_slices_ok,
-        incidents_durable,
-        elapsed_secs: elapsed,
-    }
-}
-
-// ----------------------------------------------------------- membership
-
-const MEM_STORES: u32 = 4;
-const MEM_SPARES: u32 = 1;
-const MEM_CLIENTS: u32 = 3;
-
-/// The membership grid's spec: the founding members may crash and
-/// partition, the spare may be directed to join, and one member may be
-/// directed to leave. The leaver and the spare are *not* crashable — a
+/// The membership grid's spec — the cart spec plus a standby, except:
+/// the spare may be directed to join, and one member may be directed
+/// to leave. The leaver and the spare are *not* crashable — a
 /// control message injected into a crashed inbox is dropped, and this
 /// cell audits the rebalance protocol, not message loss on the control
 /// path (the sim sweeps cover that interleaving).
-fn membership_spec(window_ms: u64, clauses: usize) -> FaultSpec {
-    let all: Vec<NodeId> =
-        (0..(MEM_STORES + MEM_SPARES + MEM_CLIENTS) as usize).map(NodeId).collect();
-    let crashable: Vec<NodeId> = (0..MEM_STORES as usize - 1).map(NodeId).collect();
-    FaultSpec::new(all)
-        .crashable(crashable)
-        .joinable(vec![NodeId(MEM_STORES as usize)])
-        .leavable(vec![NodeId(MEM_STORES as usize - 1)])
-        .window(SimTime::from_millis(150), SimTime::from_millis(window_ms))
-        .faults(clauses, clauses)
+fn membership_spec(clauses: usize) -> FaultSpec {
+    fault_spec(STORES, 1 + CLIENTS, 2200, clauses)
+        .crashable((0..STORES as usize - 1).map(NodeId).collect())
+        .joinable(vec![NodeId(STORES as usize)])
+        .leavable(vec![NodeId(STORES as usize - 1)])
         // covering_seed wants one clause of every enabled kind; crash +
         // partition + add_node + remove_node fit in 4 clauses. One-way
         // splits and degrades stay with the other services' cells.
@@ -245,106 +115,67 @@ fn membership_spec(window_ms: u64, clauses: usize) -> FaultSpec {
         .degrades(false)
 }
 
-fn membership_cell(base_seed: u64, clauses: usize, ops_per_client: u64, dir: &Path) -> Cell {
-    let spec = membership_spec(2200, clauses);
-    let seed = FaultPlan::covering_seed(base_seed, &spec);
-    let plan = FaultPlan::generate(seed, &spec);
-    eprintln!("membership cell (seed {seed}, {clauses} clauses):\n{plan}");
-    let cell_dir = dir.join(format!("membership-{seed}"));
+/// How the chaos controller turns a plan's membership clauses into
+/// live control messages.
+type MembershipHook = fn(&'static str, NodeId) -> Option<ServiceMsg>;
+
+fn ctl_join_leave(kind: &'static str, _node: NodeId) -> Option<ServiceMsg> {
+    match kind {
+        "add_node" => Some(ServiceMsg::CtlJoin),
+        "remove_node" => Some(ServiceMsg::CtlLeave),
+        _ => None,
+    }
+}
+
+/// One cart-service cell over TCP. With a `hook` the ring gets a
+/// standby store and the plan's `add_node`/`remove_node` clauses apply:
+/// covering both kinds makes the end state unconditional — the spare
+/// (first id past the members) ends in the ring, the last founding
+/// member ends departed — and the audit holds the cell to it.
+fn cart_cell(
+    service: &'static str,
+    spec: &FaultSpec,
+    hook: Option<MembershipHook>,
+    base_seed: u64,
+    ops_per_client: u64,
+    dir: &Path,
+) -> Cell {
+    let seed = FaultPlan::covering_seed(base_seed, spec);
+    let plan = FaultPlan::generate(seed, spec);
+    eprintln!("{service} cell (seed {seed}, {} clauses):\n{plan}", plan.len());
+    let cell_dir = dir.join(format!("{}-{seed}", service.replace('/', "-")));
     let _ = std::fs::remove_dir_all(&cell_dir);
 
-    let mut b =
-        RuntimeBuilder::new().chaos(plan.clone(), seed).membership_ctl(|kind, _node| match kind {
-            "add_node" => Some(ServiceMsg::CtlJoin),
-            "remove_node" => Some(ServiceMsg::CtlLeave),
-            _ => None,
-        });
-    let store_ids =
-        add_crdt_stores_with_spares(&mut b, MEM_STORES, MEM_SPARES, &DynamoConfig::default());
-    let members: Vec<NodeId> = store_ids[..MEM_STORES as usize].to_vec();
-    let clients: Vec<NodeId> = (0..MEM_CLIENTS)
-        .map(|c| b.add_node(LoadClient::new(c, members.clone(), ops_per_client, CART_KEYS, 60)))
+    let mut b = RuntimeBuilder::new().chaos(plan.clone(), seed);
+    let (mut joiner, mut leaver) = (None, None);
+    if let Some(hook) = hook {
+        b = b.membership_ctl(hook);
+        joiner = Some(NodeId(STORES as usize));
+        leaver = Some(NodeId(STORES as usize - 1));
+    }
+    let store_ids = add_stores(&mut b, STORES, joiner.is_some() as u32);
+    // Clients route through the founding members only.
+    let members: Vec<NodeId> = store_ids[..STORES as usize].to_vec();
+    let clients: Vec<NodeId> = (0..CLIENTS)
+        .map(|c| b.add_node(LoadClient::new(c, members.clone(), ops_per_client, KEYS, 60)))
         .collect();
     let started = Instant::now();
     let rt = b.launch_tcp().expect("tcp launch");
-    let deadline = started + Duration::from_secs(120);
-    while !clients.iter().all(|&c| rt.inspect::<LoadClient, bool, _>(c, |cl| cl.done())) {
-        if Instant::now() > deadline {
-            eprintln!("membership cell seed {seed}: clients stalled");
-            std::process::exit(1);
-        }
-        std::thread::sleep(Duration::from_millis(25));
+    if let Err(e) = wait_done(&rt, &clients, LoadClient::done, TIMEOUT)
+        .and_then(|()| settle(&rt, &store_ids, joiner, leaver, TIMEOUT))
+    {
+        stalled(service, seed, e);
     }
-    drain_chaos(&rt, "membership", Duration::from_millis(900));
-    // Rebalance settle: every moved key range must be acked before the
-    // durability audit is fair — a transfer is a durable guess, and an
-    // open one here is a cell failure, not a timing artifact.
-    let tdeadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let drained = store_ids
-            .iter()
-            .all(|&s| rt.inspect::<StoreNode<CrdtCart>, bool, _>(s, |n| n.transfer_count() == 0));
-        if drained {
-            break;
-        }
-        if Instant::now() > tdeadline {
-            eprintln!("membership cell seed {seed}: transfers never drained");
-            std::process::exit(1);
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    std::thread::sleep(Duration::from_millis(300));
-    let elapsed = started.elapsed().as_secs_f64();
+    let elapsed_secs = started.elapsed().as_secs_f64();
     let report = rt.shutdown();
-
-    // The plan covered both membership kinds, so the end state is
-    // unconditional: the spare ends in the ring, the leaver ends
-    // departed with every owed key streamed out.
-    let joiner = report.actor::<StoreNode<CrdtCart>>(NodeId(MEM_STORES as usize));
-    let leaver = report.actor::<StoreNode<CrdtCart>>(NodeId(MEM_STORES as usize - 1));
-    if !joiner.gossiper.status().in_ring() || !leaver.gossiper.departed() {
-        eprintln!(
-            "membership cell seed {seed}: joiner {:?} (in ring: {}), leaver {:?} (departed: {})",
-            joiner.gossiper.status(),
-            joiner.gossiper.status().in_ring(),
-            leaver.gossiper.status(),
-            leaver.gossiper.departed(),
-        );
-        std::process::exit(1);
-    }
-
-    let mut acked: Vec<(u64, u64)> = Vec::new();
-    for &c in &clients {
-        acked.extend(report.actor::<LoadClient>(c).acked_adds.iter().copied());
-    }
-    let stores: Vec<&StoreNode<CrdtCart>> =
-        store_ids.iter().map(|&s| report.actor::<StoreNode<CrdtCart>>(s)).collect();
-    let lost = acked
-        .iter()
-        .filter(|(key, item)| {
-            !quicksand_bench::service::reconciled_cart(&stores, *key).contains_key(item)
-        })
-        .count() as u64;
-
-    let acc = report.core.ledger.accounting();
-    let (incidents, incident_slices_ok, incidents_durable) =
-        audit_incidents(&report.core, &cell_dir);
     Cell {
-        service: "member/tcp",
+        service,
         base_seed,
         seed,
-        clauses,
-        crash_clauses: plan.count_kind("crash"),
-        acked: acked.len() as u64,
-        lost,
-        open_guesses: acc.open(),
-        orphaned_guesses: acc.orphaned(),
-        restarts: report.core.metrics.counter("runtime.restarts"),
-        clause_edges: report.core.metrics.counter("runtime.chaos_clauses"),
-        incidents,
-        incident_slices_ok,
-        incidents_durable,
-        elapsed_secs: elapsed,
+        clauses: plan.len(),
+        audit: audit(&report, &store_ids, &clients, Some(&plan), joiner, leaver),
+        incidents_durable: persist_incidents(&report.core, &cell_dir),
+        elapsed_secs,
     }
 }
 
@@ -386,41 +217,34 @@ fn evlog_cell(base_seed: u64, clauses: usize, appends: u64, dir: &Path) -> Cell 
     assert_eq!(id, leader);
     let started = Instant::now();
     let rt = b.launch();
-    let deadline = started + Duration::from_secs(120);
-    while !rt.inspect::<Producer, _, _>(producer, |p| p.done()) {
-        if Instant::now() > deadline {
-            eprintln!("evlog cell seed {seed}: producer stalled");
-            std::process::exit(1);
-        }
-        std::thread::sleep(Duration::from_millis(25));
+    if let Err(e) =
+        wait_done(&rt, &[producer], Producer::done, TIMEOUT).and_then(|()| wait_chaos(&rt, TIMEOUT))
+    {
+        stalled("evlog", seed, e);
     }
-    drain_chaos(&rt, "evlog", Duration::from_millis(400));
-    let elapsed = started.elapsed().as_secs_f64();
+    // No anti-entropy here: just let the last restart finish recovery.
+    std::thread::sleep(Duration::from_millis(400));
+    let elapsed_secs = started.elapsed().as_secs_f64();
     let report = rt.shutdown();
 
+    // The service-specific half of the audit: an acked append is lost
+    // if the recovered leader log no longer holds its id (booked in
+    // the audit's pair-shaped `lost` list as the id's two halves).
     let acked = report.actor::<Producer>(producer).acked_ids();
     let broker = report.actor::<EventLogNode<DirKind>>(leader);
-    let lost = acked.iter().filter(|id| broker.log().lookup(**id).is_none()).count() as u64;
-
-    let acc = report.core.ledger.accounting();
-    let (incidents, incident_slices_ok, incidents_durable) =
-        audit_incidents(&report.core, &cell_dir);
+    let lost = acked.iter().filter(|id| broker.log().lookup(**id).is_none());
     Cell {
         service: "evlog/fsync",
         base_seed,
         seed,
         clauses,
-        crash_clauses: plan.count_kind("crash"),
-        acked: acked.len() as u64,
-        lost,
-        open_guesses: acc.open(),
-        orphaned_guesses: acc.orphaned(),
-        restarts: report.core.metrics.counter("runtime.restarts"),
-        clause_edges: report.core.metrics.counter("runtime.chaos_clauses"),
-        incidents,
-        incident_slices_ok,
-        incidents_durable,
-        elapsed_secs: elapsed,
+        audit: ServiceAudit {
+            acked: acked.len() as u64,
+            lost: lost.map(|id| ((id.as_raw() >> 64) as u64, id.as_raw() as u64)).collect(),
+            ..ServiceAudit::of_core(&report.core, Some(&plan))
+        },
+        incidents_durable: persist_incidents(&report.core, &cell_dir),
+        elapsed_secs,
     }
 }
 
@@ -429,13 +253,7 @@ fn evlog_cell(base_seed: u64, clauses: usize, appends: u64, dir: &Path) -> Cell 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let out = arg_value(&mut args, "--out");
-    let quick = {
-        let pos = args.iter().position(|a| a == "--quick");
-        if let Some(p) = pos {
-            args.remove(p);
-        }
-        pos.is_some()
-    };
+    let quick = arg_flag(&mut args, "--quick");
     let dir = PathBuf::from(
         arg_value(&mut args, "--dir")
             .unwrap_or_else(|| std::env::temp_dir().join("chaos-rt").display().to_string()),
@@ -456,10 +274,12 @@ fn main() {
 
     let mut cells = Vec::new();
     for &(base, clauses, ops) in cart_rows {
-        cells.push(cart_cell(base, clauses, ops, &dir));
+        let spec = fault_spec(STORES, CLIENTS, 2200, clauses);
+        cells.push(cart_cell("cart/tcp", &spec, None, base, ops, &dir));
     }
     for &(base, clauses, ops) in member_rows {
-        cells.push(membership_cell(base, clauses, ops, &dir));
+        let spec = membership_spec(clauses);
+        cells.push(cart_cell("member/tcp", &spec, Some(ctl_join_leave), base, ops, &dir));
     }
     for &(base, clauses, appends) in evlog_rows {
         cells.push(evlog_cell(base, clauses, appends, &dir));
@@ -487,14 +307,14 @@ fn main() {
             c.service,
             c.seed,
             c.clauses,
-            c.crash_clauses,
-            c.acked,
-            c.lost,
-            c.open_guesses,
-            c.orphaned_guesses,
-            c.restarts,
-            c.clause_edges,
-            c.incidents,
+            c.crash_clauses(),
+            c.audit.acked,
+            c.audit.lost.len(),
+            c.audit.open_guesses,
+            c.audit.orphaned_guesses,
+            c.audit.restarts,
+            c.audit.clause_edges,
+            c.audit.incidents.len(),
             c.elapsed_secs,
             if c.ok() { "" } else { "  <-- FAIL" },
         );
@@ -523,15 +343,15 @@ fn main() {
                 c.base_seed,
                 c.seed,
                 c.clauses,
-                c.crash_clauses,
-                c.acked,
-                c.lost,
-                c.open_guesses,
-                c.orphaned_guesses,
-                c.restarts,
-                c.clause_edges,
-                c.incidents,
-                c.incident_slices_ok,
+                c.crash_clauses(),
+                c.audit.acked,
+                c.audit.lost.len(),
+                c.audit.open_guesses,
+                c.audit.orphaned_guesses,
+                c.audit.restarts,
+                c.audit.clause_edges,
+                c.audit.incidents.len(),
+                c.audit.edgeless_incidents.is_empty(),
                 c.incidents_durable,
             );
         }

@@ -43,20 +43,12 @@ use std::time::{Duration, Instant};
 use quicksand::eventlog::{
     AckPolicy, BrokerConfig, DirKind, EvMsg, EventLog, EventLogNode, LogConfig, Producer,
 };
+use quicksand::service::wait_done;
+use quicksand_bench::cli::arg_value;
 use quicksand_core::uniquifier::Uniquifier;
 use quicksand_core::wire::{to_bytes, WireCodec};
 use quicksand_runtime::RuntimeBuilder;
 use sim::{Actor, Context, NodeId, SimDuration};
-
-fn arg_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.remove(pos);
-    if pos >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    }
-    Some(args.remove(pos))
-}
 
 fn parse<T: std::str::FromStr>(v: Option<String>, default: T, flag: &str) -> T {
     match v {
@@ -603,13 +595,9 @@ fn bench_cell(
     }
     let started = Instant::now();
     let rt = b.launch();
-    let deadline = started + Duration::from_secs(120);
-    while !rt.inspect::<Producer, _, _>(producer, |p| p.done()) {
-        if Instant::now() > deadline {
-            eprintln!("bench cell policy={policy} window={window}: stalled");
-            std::process::exit(1);
-        }
-        std::thread::sleep(Duration::from_millis(5));
+    if let Err(e) = wait_done(&rt, &[producer], Producer::done, Duration::from_secs(120)) {
+        eprintln!("bench cell policy={policy} window={window}: {e}");
+        std::process::exit(1);
     }
     let elapsed = started.elapsed().as_secs_f64();
     let acked = rt.inspect::<Producer, _, _>(producer, |p| p.acked.len() as u64);

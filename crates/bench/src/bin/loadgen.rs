@@ -2,9 +2,13 @@
 //!
 //! Launches an N-store dynamo ring of CRDT carts plus C closed-loop
 //! clients (every node is its own OS worker thread), drives a
-//! configurable get/put mix, then audits the run: every acknowledged
-//! add must be present in the reconciled store state — a lost acked op
-//! is a nonzero exit, not a log line.
+//! configurable get/put mix, then holds the run to
+//! [`quicksand::service::ServiceAudit::check`] — a lost acked add, an
+//! open guess, a mis-accounted fault plan or a botched join/leave is a
+//! nonzero exit, not a log line. Standing the service up, driving it,
+//! settling it and auditing it is [`quicksand::service`]; this bin owns
+//! the flags, the view from *outside* the process (every HTTP
+//! cross-check below), and the output files.
 //!
 //! ```text
 //! cargo run -p quicksand-bench --release --bin loadgen -- \
@@ -19,91 +23,46 @@
 //! byte-stable across runs except for the timing fields
 //! (`elapsed_secs`, `throughput_ops_per_sec`, `*_us` percentiles).
 //!
-//! ## Watch mode
-//!
-//! `--watch` attaches the live telemetry surface (binding
-//! `--telemetry-addr`, or an ephemeral port if unset) and polls it over
-//! real HTTP while the run is in flight, rendering a one-line dashboard
-//! — ops/s and windowed p99 from `/metrics`, open guesses and the
-//! worst per-substrate apology p99 from `/ledger`, node liveness from
-//! `/health`. After the clients finish and the run quiesces, watch
-//! mode re-reads `/ledger` and **exits nonzero if any guess is still
-//! open**: a promise somebody made and never reconciled (§5).
-//!
-//! ## Incident forensics
-//!
-//! Under `--fault-plan`, the run audits the runtime's black box after
-//! the plan completes: every planned crash clause must have filed
-//! exactly one incident whose causal slice contains the crash edge,
-//! and (when telemetry is up) `/incidents` and `/explain?incident=N`
-//! must serve the post-mortems live — text and Perfetto both. With
-//! `--incidents-dir DIR` the incident ring is drained to a durable
-//! [`IncidentStream`] under `DIR/stream/`, reopened to prove the
-//! records survive the process, and rendered to `incidents.json` plus
-//! one `incident-*.txt` per record for the CI artifact tab.
-//!
-//! ## Membership mode
-//!
-//! `--spares N` provisions N standby stores outside the ring, and
-//! `--join-at MS` / `--leave-at MS` fire a live `CtlJoin` (first
-//! spare) / `CtlLeave` (last member) at the given wall-clock offsets
-//! while the clients drive load. The run then audits the whole
-//! rebalance before exiting: every acked add must be present in the
-//! **final** ring's reconciled stores, every key-transfer guess must
-//! settle, the joiner must end in-ring with zero open transfers, the
-//! leaver must drain and depart, and `membership.ring_version` —
-//! sampled via HTTP `/metrics` before and after the change when
-//! telemetry is up — must advance. Any miss is a nonzero exit.
-//! Composes with `--watch` (the ledger audit covers the transfer
-//! guesses too); `--leave-at` requires `--stores 4` or more so an
-//! N=3 quorum survives the departure.
-//!
-//! ## Sweep mode
-//!
-//! `--sweep-out BENCH_6.json` runs the threads × payload grid (clients
-//! × items-per-put) and writes one JSON table with throughput and
-//! latency percentiles per cell — the repo's BENCH_6 artifact. Key
-//! order and all non-timing fields are deterministic.
+//! - `--watch` attaches the telemetry surface (binding
+//!   `--telemetry-addr`, or an ephemeral port if unset) and polls it
+//!   over real HTTP while the run is in flight, rendering a one-line
+//!   dashboard from `/metrics`, `/ledger` and `/health`. After
+//!   quiescence it re-reads `/ledger` and exits nonzero if the
+//!   *endpoint* still shows an open guess (§5).
+//! - `--fault-plan SEED` runs a generated [`FaultPlan`] under the load.
+//!   With telemetry up, `/health` must be 200 after the last heal with
+//!   crash counters summing to the plan's crash clauses, and
+//!   `/incidents` + `/explain?incident=N` must serve every chaos-crash
+//!   post-mortem live, text and Perfetto both. `--incidents-dir DIR`
+//!   drains the incident ring to a durable [`IncidentStream`] under
+//!   `DIR/stream/`, reopens it to prove the records survive the
+//!   process, and renders `incidents.json` plus one `incident-*.txt`
+//!   per record for the CI artifact tab.
+//! - `--spares N` provisions standby stores; `--join-at MS` /
+//!   `--leave-at MS` fire a live `CtlJoin` (first spare) / `CtlLeave`
+//!   (last member) at those wall-clock offsets while the clients drive
+//!   load. `membership.ring_version` — sampled via HTTP `/metrics`
+//!   when telemetry is up — must advance. `--leave-at` requires
+//!   `--stores 4` or more so an N=3 quorum survives the departure.
+//! - `--sweep-out BENCH_6.json` runs the threads × payload grid
+//!   (clients × items-per-put) and writes one JSON table with
+//!   throughput and latency percentiles per cell — the repo's BENCH_6
+//!   artifact. Key order and all non-timing fields are deterministic.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cart::CrdtCart;
-use dynamo::{DynamoConfig, StoreNode};
+use quicksand::service::{
+    add_stores, audit, fault_spec, settle, wait_done, LoadClient, ServiceAudit, ServiceMsg, Stalled,
+};
+use quicksand_bench::cli::{arg_flag, arg_value};
 use quicksand_bench::http::{http_get, json_number};
 use quicksand_bench::incidents::IncidentStream;
-use quicksand_bench::service::{add_crdt_stores_with_spares, LoadClient, ServiceMsg};
 use quicksand_runtime::{RuntimeBuilder, TransportKind};
-use sim::{
-    FaultPlan, FaultSpec, FlightKind, Incident, IncidentKind, LogHistogram, NodeId, SimDuration,
-    SimTime,
-};
-
-use crdt::Crdt;
-
-fn arg_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.remove(pos);
-    if pos >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    }
-    Some(args.remove(pos))
-}
-
-fn arg_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let pos = args.iter().position(|a| a == flag);
-    if let Some(pos) = pos {
-        args.remove(pos);
-        true
-    } else {
-        false
-    }
-}
+use sim::{FaultPlan, Incident, LogHistogram, NodeId, SimDuration};
 
 #[derive(Clone)]
 struct Config {
@@ -181,25 +140,6 @@ fn parse_args() -> Config {
     cfg
 }
 
-/// The chaos spec for a stores+clients topology: any node can be
-/// partitioned or degraded, but only *stores* are crashable — the
-/// clients hold the audit's ground truth (acked adds) in process
-/// memory, and the invariant under test is "the service never loses an
-/// acked op", not "the auditor survives".
-fn fault_spec(cfg: &Config) -> FaultSpec {
-    let all: Vec<NodeId> =
-        (0..(cfg.stores + cfg.spares + cfg.clients) as usize).map(NodeId).collect();
-    let stores: Vec<NodeId> = (0..cfg.stores as usize).map(NodeId).collect();
-    FaultSpec::new(all)
-        .crashable(stores)
-        .window(SimTime::from_millis(150), SimTime::from_millis(cfg.fault_window_ms))
-        .faults(cfg.fault_clauses, cfg.fault_clauses)
-        // A 3-clause plan should be able to cover crash + partition +
-        // degrade (the CI smoke pins such a seed); one-way partitions
-        // join the pool once there is room for a fourth kind.
-        .oneway(cfg.fault_clauses >= 4)
-}
-
 /// Everything one closed-loop run produces.
 struct RunResult {
     total_ops: u64,
@@ -211,13 +151,11 @@ struct RunResult {
     get_p99: f64,
     put_p50: f64,
     put_p99: f64,
-    acked: usize,
-    lost: Vec<(u64, u64)>,
+    /// The shared audit of the shut-down service.
+    audit: ServiceAudit,
     get_failures: u64,
     put_failures: u64,
     stuck: u64,
-    /// Open guesses after quiescence (from the final engine core).
-    open_guesses: u64,
     /// Last ops/s the telemetry endpoint reported, when watching.
     telemetry_rate: Option<f64>,
     /// Open-guess count `/ledger` reported after quiescence, when
@@ -310,15 +248,16 @@ fn run_once(cfg: &Config, ops_per_client: u64) -> RunResult {
     }
     let chaos_plan = match cfg.fault_plan {
         Some(fseed) => {
-            let plan = FaultPlan::generate(fseed, &fault_spec(cfg));
+            let others = cfg.spares + cfg.clients;
+            let spec = fault_spec(cfg.stores, others, cfg.fault_window_ms, cfg.fault_clauses);
+            let plan = FaultPlan::generate(fseed, &spec);
             eprintln!("fault plan (seed {fseed}, {} clauses): {plan}", plan.len());
             b = b.chaos(plan.clone(), fseed);
             Some(plan)
         }
         None => None,
     };
-    let store_ids =
-        add_crdt_stores_with_spares(&mut b, cfg.stores, cfg.spares, &DynamoConfig::default());
+    let store_ids = add_stores(&mut b, cfg.stores, cfg.spares);
     // Clients route through the founding members only; a spare becomes
     // reachable through *them* once it joins the ring (that's the point
     // of the audit — no client ever learns the spare's address).
@@ -352,7 +291,7 @@ fn run_once(cfg: &Config, ops_per_client: u64) -> RunResult {
     // The ring digest every store publishes as `membership.ring_version`
     // — read through the live `/metrics` endpoint when it's up (the
     // operator's view), falling back to the engine core's gauge.
-    let ring_version_now = |rt: &quicksand_runtime::Runtime<ServiceMsg>| -> f64 {
+    let ring_version_now = || -> f64 {
         if let Some(addr) = rt.telemetry_addr() {
             if let Ok((_, body)) = http_get(addr, "/metrics?format=json") {
                 if let Some(v) = json_number(&body, "membership.ring_version") {
@@ -362,120 +301,56 @@ fn run_once(cfg: &Config, ops_per_client: u64) -> RunResult {
         }
         rt.with_core(|c| c.metrics.gauge("membership.ring_version"))
     };
-    let joiner = NodeId(cfg.stores as usize); // first spare
-    let leaver = NodeId(cfg.stores as usize - 1); // last founding member
-    let mut join_fired = false;
-    let mut leave_fired = false;
-    let mut ring_before: Option<f64> = None;
+    let timeout = Duration::from_secs(cfg.timeout_secs);
+    let give_up = |e: Stalled| -> ! {
+        eprintln!("TIMEOUT: {e}");
+        std::process::exit(1);
+    };
 
-    // Closed loop: poll until every client has worked through its ops,
-    // firing any scheduled membership changes at their wall-clock marks.
-    let deadline = started + Duration::from_secs(cfg.timeout_secs);
-    loop {
-        std::thread::sleep(Duration::from_millis(50));
-        let elapsed_ms = started.elapsed().as_millis() as u64;
-        if !join_fired && cfg.join_at_ms.is_some_and(|at| elapsed_ms >= at) {
-            let v = *ring_before.get_or_insert_with(|| ring_version_now(&rt));
-            eprintln!("  membership: CtlJoin -> n{} at {elapsed_ms}ms (ring v{v:.0})", joiner.0);
-            rt.inject(joiner, joiner, ServiceMsg::CtlJoin);
-            join_fired = true;
-        }
-        if !leave_fired && cfg.leave_at_ms.is_some_and(|at| elapsed_ms >= at) {
-            let v = *ring_before.get_or_insert_with(|| ring_version_now(&rt));
-            eprintln!("  membership: CtlLeave -> n{} at {elapsed_ms}ms (ring v{v:.0})", leaver.0);
-            rt.inject(leaver, leaver, ServiceMsg::CtlLeave);
-            leave_fired = true;
-        }
-        let done = client_ids.iter().all(|&c| rt.inspect::<LoadClient, bool, _>(c, |cl| cl.done()));
-        if done {
-            break;
-        }
-        if Instant::now() > deadline {
-            eprintln!("TIMEOUT: clients still running after {}s", cfg.timeout_secs);
-            std::process::exit(1);
-        }
+    // The CLI-timed membership changes: the first spare joins, the last
+    // founding member leaves. Each fires at its wall-clock mark or at
+    // the end of client work, whichever comes first — the audit wants
+    // the change to happen, not to silently miss the window.
+    let joiner = cfg.join_at_ms.map(|_| NodeId(cfg.stores as usize));
+    let leaver = cfg.leave_at_ms.map(|_| NodeId(cfg.stores as usize - 1));
+    let mut marks = vec![
+        (cfg.join_at_ms, joiner, "CtlJoin", ServiceMsg::CtlJoin),
+        (cfg.leave_at_ms, leaver, "CtlLeave", ServiceMsg::CtlLeave),
+    ];
+    marks.sort_by_key(|m| m.0);
+    let mut ring_before: Option<f64> = None;
+    for (at_ms, node, what, msg) in marks {
+        let (Some(at_ms), Some(node)) = (at_ms, node) else { continue };
+        let until_mark = Duration::from_millis(at_ms).saturating_sub(started.elapsed());
+        let _ = wait_done(&rt, &client_ids, LoadClient::done, until_mark);
+        let v = *ring_before.get_or_insert_with(&ring_version_now);
+        let at = started.elapsed().as_millis();
+        eprintln!("  membership: {what} -> n{} at {at}ms (ring v{v:.0})", node.0);
+        rt.inject(node, node, msg);
     }
-    // A mark past the end of client work still fires — the audit wants
-    // the join/leave to happen, not to silently miss the window.
-    if cfg.join_at_ms.is_some() && !join_fired {
-        ring_before.get_or_insert_with(|| ring_version_now(&rt));
-        eprintln!("  membership: CtlJoin -> n{} (after client work)", joiner.0);
-        rt.inject(joiner, joiner, ServiceMsg::CtlJoin);
-    }
-    if cfg.leave_at_ms.is_some() && !leave_fired {
-        ring_before.get_or_insert_with(|| ring_version_now(&rt));
-        eprintln!("  membership: CtlLeave -> n{} (after client work)", leaver.0);
-        rt.inject(leaver, leaver, ServiceMsg::CtlLeave);
-    }
+    // Closed loop: every client works through its ops.
+    let left = timeout.saturating_sub(started.elapsed());
+    wait_done(&rt, &client_ids, LoadClient::done, left).unwrap_or_else(|e| give_up(e));
     let elapsed = started.elapsed();
 
-    // Under chaos, the plan's clauses may outlive the client work: wait
-    // for the controller to finish (every heal applied) before auditing,
-    // then give anti-entropy longer to repair what the faults tore.
-    if chaos_plan.is_some() {
-        let chaos = rt.chaos().expect("chaos attached");
-        if !chaos.wait_finished(Duration::from_secs(cfg.timeout_secs)) {
-            eprintln!("TIMEOUT: fault plan still running after {}s", cfg.timeout_secs);
-            std::process::exit(1);
-        }
+    settle(&rt, &store_ids, joiner, leaver, timeout).unwrap_or_else(|e| give_up(e));
+    if let Some(chaos) = rt.chaos() {
         for line in chaos.applied() {
             eprintln!("  fault: {line}");
         }
     }
-
-    // Membership settle: the joiner must reach the ring, the leaver must
-    // drain its transfers and depart, and every rebalance transfer
-    // anywhere must ack — only then is the durability audit fair.
-    let mut ring_after: Option<f64> = None;
-    if cfg.join_at_ms.is_some() || cfg.leave_at_ms.is_some() {
-        let mdeadline = Instant::now() + Duration::from_secs(cfg.timeout_secs);
-        loop {
-            let drained = store_ids.iter().all(|&s| {
-                rt.inspect::<StoreNode<CrdtCart>, bool, _>(s, |n| n.transfer_count() == 0)
-            });
-            let joined = cfg.join_at_ms.is_none()
-                || rt.inspect::<StoreNode<CrdtCart>, bool, _>(joiner, |n| {
-                    n.gossiper.status().in_ring()
-                });
-            let departed = cfg.leave_at_ms.is_none()
-                || rt.inspect::<StoreNode<CrdtCart>, bool, _>(leaver, |n| n.gossiper.departed());
-            if drained && joined && departed {
-                break;
-            }
-            if Instant::now() > mdeadline {
-                eprintln!("TIMEOUT: membership change did not settle in {}s", cfg.timeout_secs);
-                for &s in &store_ids {
-                    let line = rt.inspect::<StoreNode<CrdtCart>, String, _>(s, move |n| {
-                        format!(
-                            "n{} {:?} departed={} transfers={} keys={} ring v{}",
-                            s.0,
-                            n.gossiper.status(),
-                            n.gossiper.departed(),
-                            n.transfer_count(),
-                            n.key_count(),
-                            n.ring_version()
-                        )
-                    });
-                    eprintln!("    {line}");
-                }
-                std::process::exit(1);
-            }
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        // One more gossip round so every survivor converges on the new
-        // view, then read the operator-visible ring version back.
-        std::thread::sleep(Duration::from_millis(300));
-        ring_after = Some(ring_version_now(&rt));
-        let (before, after) = (ring_before.unwrap_or(0.0), ring_after.unwrap_or(0.0));
+    // Read the operator-visible ring version back once every survivor
+    // has converged on the new view.
+    let ring_after = ring_before.map(|before| {
+        let after = ring_version_now();
         if before == after {
             eprintln!("RING VERSION DID NOT ADVANCE: v{before:.0} before and after the change");
             std::process::exit(1);
         }
         eprintln!("  membership settled: ring v{before:.0} -> v{after:.0}, all transfers acked");
-    }
+        after
+    });
 
-    // Let a final round of anti-entropy spread the tail, then audit.
-    std::thread::sleep(Duration::from_millis(if chaos_plan.is_some() { 900 } else { 300 }));
     // The quiescent ledger as the *endpoint* sees it, before teardown.
     let ledger_open_via_http = rt
         .telemetry_addr()
@@ -517,18 +392,10 @@ fn run_once(cfg: &Config, ops_per_client: u64) -> RunResult {
                 std::process::exit(1);
             }
         }
-    }
-    // Live forensics check: while the surface is still up (and traffic
-    // may still be settling), the black box must already hold every
-    // chaos crash, and `/explain` must serve both renderings for each.
-    if let (Some(_), Some(addr)) = (&chaos_plan, rt.telemetry_addr()) {
-        let crash_seqs: Vec<u64> = rt.with_core(|c| {
-            c.incidents
-                .iter()
-                .filter(|i| i.kind == IncidentKind::ChaosCrash)
-                .map(|i| i.seq)
-                .collect()
-        });
+        // Live forensics check: while the surface is still up, the
+        // black box must already hold every chaos crash, and `/explain`
+        // must serve both renderings for each.
+        let crash_seqs = rt.with_core(|c| ServiceAudit::of_core(c, None)).incidents;
         match http_get(addr, "/incidents") {
             Ok((200, body)) => {
                 let count = json_number(&body, "count").unwrap_or(-1.0) as i64;
@@ -572,140 +439,43 @@ fn run_once(cfg: &Config, ops_per_client: u64) -> RunResult {
     }
     let report = rt.shutdown();
 
-    // Gather client-side truth.
-    let mut acked: Vec<(u64, u64)> = Vec::new();
+    let audit = audit(&report, &store_ids, &client_ids, chaos_plan.as_ref(), joiner, leaver);
     let (mut get_failures, mut put_failures, mut stuck) = (0u64, 0u64, 0u64);
     for &c in &client_ids {
         let cl = report.actor::<LoadClient>(c);
-        acked.extend(cl.acked_adds.iter().copied());
         get_failures += cl.get_failures;
         put_failures += cl.put_failures;
         stuck += cl.stuck_retries;
     }
-
-    // Reconcile every store's state per key and audit acked adds.
-    let stores: Vec<&StoreNode<CrdtCart>> =
-        store_ids.iter().map(|&s| report.actor::<StoreNode<CrdtCart>>(s)).collect();
-    let mut reconciled: BTreeMap<u64, BTreeMap<u64, u32>> = BTreeMap::new();
-    for key in 0..cfg.keys {
-        let mut joined = CrdtCart::new();
-        for s in &stores {
-            for v in s.versions(key) {
-                joined.merge(&v.value);
-            }
+    if audit.check().is_ok() {
+        if let Some(j) = &audit.joiner {
+            let (n, keys) = (j.node.0, j.keys);
+            eprintln!("  join audit: n{n} is {:?} in the ring holding {keys} key(s)", j.status);
         }
-        reconciled.insert(key, joined.materialize());
-    }
-    let lost: Vec<(u64, u64)> = acked
-        .iter()
-        .copied()
-        .filter(|(key, item)| !reconciled.get(key).is_some_and(|c| c.contains_key(item)))
-        .collect();
-
-    // Post-mortem membership audit against the actors' final state.
-    if cfg.join_at_ms.is_some() {
-        let spare = report.actor::<StoreNode<CrdtCart>>(joiner);
-        if !spare.gossiper.status().in_ring() || spare.transfer_count() != 0 {
+        if let Some(l) = &audit.leaver {
+            let n = l.node.0;
+            eprintln!("  leave audit: n{n} departed cleanly, every owed key streamed out");
+        }
+        if let Some((crashes, edges)) = audit.planned {
             eprintln!(
-                "JOIN AUDIT FAILED: n{} ended {:?} with {} transfer(s) unacked",
-                joiner.0,
-                spare.gossiper.status(),
-                spare.transfer_count()
+                "  chaos accounted: {edges} clause edges applied, {crashes} crash/restart cycles"
             );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "  join audit: n{} is {:?} in the ring holding {} key(s)",
-            joiner.0,
-            spare.gossiper.status(),
-            spare.key_count()
-        );
-    }
-    if cfg.leave_at_ms.is_some() {
-        let gone = report.actor::<StoreNode<CrdtCart>>(leaver);
-        if gone.gossiper.status().in_ring()
-            || !gone.gossiper.departed()
-            || gone.transfer_count() != 0
-        {
             eprintln!(
-                "LEAVE AUDIT FAILED: n{} ended {:?} (departed: {}) with {} transfer(s) unacked",
-                leaver.0,
-                gone.gossiper.status(),
-                gone.gossiper.departed(),
-                gone.transfer_count()
+                "  incident audit: {crashes} planned crash(es), {crashes} incident(s), every \
+                 slice contains its crash edge"
             );
-            std::process::exit(1);
         }
-        eprintln!("  leave audit: n{} departed cleanly, every owed key streamed out", leaver.0);
     }
 
     let mut core = report.core;
     // Percentiles via the log-bucketed estimator — the exact same shape
     // the telemetry endpoint serves for these histograms.
-    let (gets, get_p50, get_p99) = {
-        let lh = LogHistogram::from_exact(core.metrics.histogram("load.get_us"));
+    let mut latency = |name| {
+        let lh = LogHistogram::from_exact(core.metrics.histogram(name));
         (lh.count(), lh.percentile(50.0), lh.percentile(99.0))
     };
-    let (puts, put_p50, put_p99) = {
-        let lh = LogHistogram::from_exact(core.metrics.histogram("load.put_us"));
-        (lh.count(), lh.percentile(50.0), lh.percentile(99.0))
-    };
-    let open_guesses = core.ledger.open_count();
-    if let Some(plan) = &chaos_plan {
-        // The injected faults must be accounted for: every clause edge
-        // bumped `runtime.chaos_clauses`, and every crash clause came
-        // back as exactly one restart. A mismatch means the chaos layer
-        // skipped or double-applied a clause — fail loudly.
-        let restarts = core.metrics.counter("runtime.restarts");
-        let clauses = core.metrics.counter("runtime.chaos_clauses");
-        let want_restarts = plan.count_kind("crash") as u64;
-        let want_clauses = plan.timeline().len() as u64;
-        if restarts != want_restarts || clauses != want_clauses {
-            eprintln!(
-                "CHAOS ACCOUNTING MISMATCH: {restarts} restarts (want {want_restarts}), \
-                 {clauses} clause edges (want {want_clauses})"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "  chaos accounted: {clauses} clause edges applied, {restarts} crash/restart cycles"
-        );
-        // The tentpole invariant: every planned crash produced exactly
-        // one incident whose causal slice contains the crash edge
-        // itself. Fewer means the black box missed a crash; more means
-        // something double-filed; a slice without its own crash edge
-        // would be a post-mortem that cannot explain the death.
-        let crashes: Vec<&Incident> =
-            core.incidents.iter().filter(|i| i.kind == IncidentKind::ChaosCrash).collect();
-        let want = plan.count_kind("crash");
-        if crashes.len() != want {
-            eprintln!(
-                "INCIDENT AUDIT FAILED: {} chaos-crash incident(s) filed (want {want})",
-                crashes.len()
-            );
-            std::process::exit(1);
-        }
-        for inc in &crashes {
-            let has_edge = inc
-                .explanation
-                .slice
-                .events
-                .iter()
-                .any(|e| e.id == inc.target && e.kind == FlightKind::Crash);
-            if !has_edge {
-                eprintln!(
-                    "INCIDENT AUDIT FAILED: incident #{} (node n{}) slice is missing its \
-                     crash edge E{}",
-                    inc.seq, inc.node.0, inc.target.0
-                );
-                std::process::exit(1);
-            }
-        }
-        eprintln!(
-            "  incident audit: {want} planned crash(es), {want} incident(s), every slice \
-             contains its crash edge"
-        );
-    }
+    let (gets, get_p50, get_p99) = latency("load.get_us");
+    let (puts, put_p50, put_p99) = latency("load.put_us");
     if let Some(dir) = &cfg.incidents_dir {
         let dir = std::path::Path::new(dir);
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
@@ -764,12 +534,10 @@ fn run_once(cfg: &Config, ops_per_client: u64) -> RunResult {
         get_p99,
         put_p50,
         put_p99,
-        acked: acked.len(),
-        lost,
+        audit,
         get_failures,
         put_failures,
         stuck,
-        open_guesses,
         telemetry_rate: watched_rate.is_finite().then_some(watched_rate),
         ledger_open_via_http,
         ring_versions: ring_before.zip(ring_after),
@@ -808,15 +576,11 @@ fn run_sweep(cfg: &Config, path: &str) {
                 r.throughput,
                 r.get_p99,
                 r.put_p99,
-                r.lost.len(),
-                r.open_guesses
+                r.audit.lost.len(),
+                r.audit.open_guesses
             );
-            if r.open_guesses > 0 || !r.lost.is_empty() {
-                eprintln!(
-                    "SWEEP CELL FAILED: {} lost acked adds, {} open guesses",
-                    r.lost.len(),
-                    r.open_guesses
-                );
+            if let Err(e) = r.audit.check() {
+                eprintln!("SWEEP CELL FAILED:\n{e}");
                 std::process::exit(1);
             }
             if !first {
@@ -833,9 +597,9 @@ fn run_sweep(cfg: &Config, path: &str) {
                  \"put_p50_us\": {:.0}, \"put_p99_us\": {:.0}}}",
                 cfg.stores + clients,
                 r.total_ops,
-                r.acked,
-                r.lost.len(),
-                r.open_guesses,
+                r.audit.acked,
+                r.audit.lost.len(),
+                r.audit.open_guesses,
                 r.elapsed.as_secs_f64(),
                 r.throughput,
                 r.get_p50,
@@ -886,8 +650,8 @@ fn main() {
     eprintln!("  PUT ({}): p50 {:.0} us, p99 {:.0} us", r.puts, r.put_p50, r.put_p99);
     eprintln!(
         "  acked adds {} | lost {} | get failures {} | put failures {} | stuck retries {}",
-        r.acked,
-        r.lost.len(),
+        r.audit.acked,
+        r.audit.lost.len(),
         r.get_failures,
         r.put_failures,
         r.stuck,
@@ -911,9 +675,9 @@ fn main() {
         let _ = writeln!(json, "  \"ops_total\": {},", r.total_ops);
         let _ = writeln!(json, "  \"put_pct\": {},", cfg.put_pct);
         let _ = writeln!(json, "  \"items_per_put\": {},", cfg.items_per_put);
-        let _ = writeln!(json, "  \"acked_adds\": {},", r.acked);
-        let _ = writeln!(json, "  \"lost_acked_adds\": {},", r.lost.len());
-        let _ = writeln!(json, "  \"open_guesses_after_quiescence\": {},", r.open_guesses);
+        let _ = writeln!(json, "  \"acked_adds\": {},", r.audit.acked);
+        let _ = writeln!(json, "  \"lost_acked_adds\": {},", r.audit.lost.len());
+        let _ = writeln!(json, "  \"open_guesses_after_quiescence\": {},", r.audit.open_guesses);
         let _ = writeln!(json, "  \"elapsed_secs\": {:.3},", r.elapsed.as_secs_f64());
         let _ = writeln!(json, "  \"throughput_ops_per_sec\": {:.0},", r.throughput);
         let _ = writeln!(json, "  \"get_p50_us\": {:.0},", r.get_p50);
@@ -927,43 +691,25 @@ fn main() {
         });
     }
 
-    if !r.lost.is_empty() {
-        eprintln!("LOST ACKED ADDS (first 10): {:?}", &r.lost[..r.lost.len().min(10)]);
+    // The verdict: every promise the shared audit checks, at once.
+    if let Err(e) = r.audit.check() {
+        eprintln!("{e}");
         std::process::exit(1);
     }
     if cfg.fault_plan.is_some() {
-        // A chaos run is only a pass if the ledger settled too: a guess
-        // left open after quiescence is a promise nobody reconciled.
-        if r.open_guesses > 0 {
-            eprintln!("OPEN GUESSES AFTER CHAOS QUIESCENCE: {}", r.open_guesses);
-            std::process::exit(1);
-        }
         eprintln!("  chaos run clean: 0 lost acked adds, 0 open guesses");
     }
-    if cfg.join_at_ms.is_some() || cfg.leave_at_ms.is_some() {
-        // A membership run passes only if the rebalance settled its
-        // books: an open guess here is a key range somebody promised to
-        // move and never confirmed.
-        if r.open_guesses > 0 {
-            eprintln!("OPEN GUESSES AFTER MEMBERSHIP CHANGE: {}", r.open_guesses);
-            std::process::exit(1);
-        }
-        if let Some((before, after)) = r.ring_versions {
-            eprintln!(
-                "  membership run clean: ring v{before:.0} -> v{after:.0}, \
-                 0 lost acked adds, 0 open guesses"
-            );
-        }
+    if let Some((before, after)) = r.ring_versions {
+        eprintln!(
+            "  membership run clean: ring v{before:.0} -> v{after:.0}, \
+             0 lost acked adds, 0 open guesses"
+        );
     }
     if cfg.watch {
         // The §5 invariant, enforced from the *outside*: the endpoint's
-        // post-quiescence ledger must show zero open guesses.
-        let open = r.ledger_open_via_http.unwrap_or(r.open_guesses);
-        if open > 0 || r.open_guesses > 0 {
-            eprintln!(
-                "OPEN GUESSES AFTER QUIESCENCE: endpoint saw {}, core has {}",
-                open, r.open_guesses
-            );
+        // post-quiescence ledger must agree that nothing is open.
+        if let Some(open) = r.ledger_open_via_http.filter(|&open| open > 0) {
+            eprintln!("OPEN GUESSES AFTER QUIESCENCE: endpoint saw {open}, core has 0");
             std::process::exit(1);
         }
         eprintln!("  ledger settled: 0 open guesses after quiescence");

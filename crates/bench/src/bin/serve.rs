@@ -19,19 +19,10 @@
 //! cannot answer a client is not serving.
 
 use cart::CrdtCart;
-use dynamo::{DynamoConfig, DynamoMsg, Probe, ProbeResult, VectorClock};
-use quicksand_bench::service::add_crdt_stores;
+use dynamo::{DynamoMsg, Probe, ProbeResult, VectorClock};
+use quicksand::service::add_stores;
+use quicksand_bench::cli::arg_value;
 use quicksand_runtime::{RuntimeBuilder, TransportKind};
-
-fn arg_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    args.remove(pos);
-    if pos >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
-    }
-    Some(args.remove(pos))
-}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -65,7 +56,7 @@ fn main() {
             .flight(4096)
             .trace(4096);
     }
-    let store_ids = add_crdt_stores(&mut b, stores, &DynamoConfig::default());
+    let store_ids = add_stores(&mut b, stores, 0);
     let probe = b.add_node(Probe::<CrdtCart>::new());
     let rt = b.launch_transport(transport).expect("launch");
     eprintln!(

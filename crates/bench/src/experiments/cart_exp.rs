@@ -47,18 +47,18 @@ pub fn e6(seed: u64) -> Table {
         ],
     );
     for (label, sloppy) in [("sloppy (AP)", true), ("strict (CP)", false)] {
-        for (plabel, partition) in
-            [("none", None), ("10s", Some((SimTime::from_millis(50), SimTime::from_secs(10))))]
-        {
-            let scenario = CartScenario {
+        for (plabel, partition) in [("none", false), ("10s", true)] {
+            let mut scenario = CartScenario {
                 dynamo: DynamoConfig { sloppy, ..DynamoConfig::default() },
                 n_stores: 5,
                 plans: busy_plans(4, 6),
                 think: SimDuration::from_millis(40),
-                partition,
                 horizon: SimTime::from_secs(60),
                 ..CartScenario::default()
             };
+            if partition {
+                scenario.faults = scenario.split(SimTime::from_millis(50), SimTime::from_secs(10));
+            }
             let r = run(&scenario, seed);
             t.row(vec![
                 label.to_string(),

@@ -5,88 +5,21 @@
 //! wall-clock multi-threaded runtime with no `#[cfg]` forks, and the
 //! application-level outcome — which acked edits survive into the
 //! reconciled cart — is the same. E19 runs one fixed add-only workload
-//! (distinct items, so the reconciled view is schedule-independent)
-//! through [`cart::harness::run`] on the simulator and through the same
+//! ([`CartScenario::distinct_adds`]: distinct items, so the reconciled
+//! view is schedule-independent) through [`cart::harness::run`] on the simulator and through the same
 //! [`dynamo::StoreNode`]/[`cart::CrdtShopper`] actors on the runtime's
-//! loopback transport, then compares the reconciled item sets.
+//! loopback transport ([`quicksand::service::run_shoppers`]), then
+//! compares the reconciled item sets.
 //!
 //! Only schedule-independent columns are reported (counts and set
 //! equality, never timings), so the table stays byte-deterministic even
 //! though the runtime half really runs on OS threads and a host clock.
 
-use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use cart::CartScenario;
+use quicksand::service::run_shoppers;
+use sim::SimTime;
 
-use cart::{CartAction, CartMode, CartScenario, CrdtCart, CrdtShopper, CART_KEY};
-use dynamo::{DynamoConfig, StoreNode};
-use quicksand_runtime::RuntimeBuilder;
-use sim::{SimDuration, SimTime};
-
-use crate::service::add_crdt_stores;
 use crate::table::Table;
-
-use crdt::Crdt;
-
-/// The fixed workload: three shoppers, eight adds each, all items
-/// distinct (shopper `i` adds `100*i + j` with quantity `j + 1`).
-/// Add-only keeps the reconciled view schedule-independent: the OR-Set
-/// join is commutative and no remove can race an add.
-fn plans() -> Vec<Vec<CartAction>> {
-    (0..3u64)
-        .map(|i| {
-            (0..8u64).map(|j| CartAction::Add { item: 100 * i + j, qty: j as u32 + 1 }).collect()
-        })
-        .collect()
-}
-
-const N_STORES: u32 = 4;
-
-/// Run the workload on the wall-clock runtime (loopback transport) and
-/// return (edits acked, reconciled materialized cart).
-fn runtime_run(seed: u64) -> (u64, BTreeMap<u64, u32>) {
-    let mut b = RuntimeBuilder::new().seed(seed);
-    let stores = add_crdt_stores(&mut b, N_STORES, &DynamoConfig::default());
-    let shoppers: Vec<_> = plans()
-        .into_iter()
-        .enumerate()
-        .map(|(i, plan)| {
-            b.add_node(CrdtShopper::new(
-                i as u32,
-                CART_KEY,
-                stores.clone(),
-                plan,
-                SimDuration::from_millis(5),
-            ))
-        })
-        .collect();
-    let rt = b.launch();
-
-    // Closed loop: wait (wall time) until every shopper has acked its
-    // plan, then let anti-entropy converge the stores.
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        std::thread::sleep(Duration::from_millis(20));
-        let done = shoppers.iter().all(|&s| rt.inspect::<CrdtShopper, bool, _>(s, |sh| sh.done()));
-        if done {
-            break;
-        }
-        assert!(Instant::now() < deadline, "E19 runtime half did not finish in 60s");
-    }
-    std::thread::sleep(Duration::from_millis(300));
-
-    let report = rt.shutdown();
-    let mut acked = 0u64;
-    for &s in &shoppers {
-        acked += report.actor::<CrdtShopper>(s).acked.len() as u64;
-    }
-    let mut joined = CrdtCart::new();
-    for &s in &stores {
-        for v in report.actor::<StoreNode<CrdtCart>>(s).versions(CART_KEY) {
-            joined.merge(&v.value);
-        }
-    }
-    (acked, joined.materialize())
-}
 
 /// E19: sim-vs-runtime cross-check on the shared actor contract.
 pub fn e19(seed: u64) -> Table {
@@ -100,14 +33,8 @@ pub fn e19(seed: u64) -> Table {
         &["engine", "edits acked", "lost acked adds", "cart items", "item set matches sim"],
     );
 
-    let scenario = CartScenario {
-        mode: CartMode::OrSet,
-        n_stores: N_STORES,
-        plans: plans(),
-        think: SimDuration::from_millis(5),
-        horizon: SimTime::from_secs(30),
-        ..CartScenario::default()
-    };
+    let scenario =
+        CartScenario { horizon: SimTime::from_secs(30), ..CartScenario::distinct_adds() };
     let sim_report = cart::run(&scenario, seed);
     let sim_items: Vec<u64> = sim_report.final_cart.keys().copied().collect();
     t.row(vec![
@@ -118,11 +45,11 @@ pub fn e19(seed: u64) -> Table {
         "-".into(),
     ]);
 
-    let (rt_acked, rt_cart) = runtime_run(seed);
+    let (rt_acked, rt_cart) = run_shoppers(&scenario, seed, |_| {});
     let rt_items: Vec<u64> = rt_cart.keys().copied().collect();
     // Acked adds must all survive; with distinct add-only items the two
     // engines' reconciled item sets must be identical.
-    let total_planned: u64 = plans().iter().map(|p| p.len() as u64).sum();
+    let total_planned: u64 = scenario.plans.iter().map(|p| p.len() as u64).sum();
     let lost = total_planned.saturating_sub(rt_cart.len() as u64);
     t.row(vec![
         "runtime (wall-clock)".into(),

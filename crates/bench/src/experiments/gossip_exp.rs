@@ -1,6 +1,8 @@
 //! A3: anti-entropy traffic — full-store push vs digests.
 
-use dynamo::{build_cluster, DynamoConfig, DynamoMsg, GossipMode, Probe, StoreNode, VectorClock};
+use dynamo::{
+    build_cluster, store_nodes, DynamoConfig, DynamoMsg, GossipMode, Probe, StoreNode, VectorClock,
+};
 use sim::{SimTime, Simulation};
 
 use crate::table::Table;
@@ -26,7 +28,7 @@ pub fn a3(seed: u64) -> Table {
     for (label, mode) in [("full-store", GossipMode::FullStore), ("digest", GossipMode::Digest)] {
         let cfg = DynamoConfig { gossip_mode: mode, ..DynamoConfig::default() };
         let mut sim: Simulation<DynamoMsg<u64>> = Simulation::new(seed);
-        let cluster = build_cluster(&mut sim, 5, &cfg);
+        let cluster = build_cluster(&mut sim, store_nodes(5, 0, &cfg));
         let probe = sim.add_node(Probe::<u64>::new());
         // Write 40 keys through scattered coordinators, then let gossip
         // run for a long quiet period (where digests should shine).

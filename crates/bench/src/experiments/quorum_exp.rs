@@ -8,7 +8,7 @@
 //! simulator's clock lets us pair every read with the set of writes that
 //! had been acknowledged when it was issued.
 
-use dynamo::{build_cluster, DynamoConfig, DynamoMsg, VectorClock};
+use dynamo::{build_cluster, store_nodes, DynamoConfig, DynamoMsg, VectorClock};
 use sim::{Actor, Context, LinkConfig, NodeId, SimDuration, SimTime, Simulation};
 
 use crate::table::{f, Table};
@@ -148,7 +148,7 @@ fn run_quorum(r: usize, w: usize, seed: u64) -> QuorumRun {
         ..DynamoConfig::default()
     };
     let mut sim: Simulation<DynamoMsg<u64>> = Simulation::new(seed);
-    let cluster = build_cluster(&mut sim, 5, &cfg);
+    let cluster = build_cluster(&mut sim, store_nodes(5, 0, &cfg));
     // Inter-store links are slow, jittery, and lossy (replication lag is
     // what staleness is made of); client links stay crisp so the
     // measurement itself is clean.

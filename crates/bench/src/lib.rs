@@ -14,10 +14,10 @@
 #![warn(missing_docs)]
 
 pub mod artifacts;
+pub mod cli;
 pub mod experiments;
 pub mod http;
 pub mod incidents;
-pub mod service;
 pub mod table;
 
 pub use table::{metrics_appendix, Table};

@@ -6,71 +6,37 @@
 //! applied. Ephemeral ports only (`launch_tcp` binds port 0 per node),
 //! so these run in parallel with the other service tests.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cart::CrdtCart;
-use dynamo::{DynamoConfig, StoreNode};
-use quicksand_bench::service::{add_crdt_stores, reconciled_cart, LoadClient, ServiceMsg};
-use quicksand_runtime::{Runtime, RuntimeBuilder};
-use sim::{Fault, FaultPlan, FaultSpec, LinkConfig, NodeId, SimDuration, SimTime};
+use quicksand::service::{add_stores, audit, fault_spec, settle, wait_done, LoadClient};
+use quicksand_runtime::RuntimeBuilder;
+use sim::{Fault, FaultPlan, LinkConfig, NodeId, SimDuration, SimTime};
 
 const STORES: u32 = 4;
 const CLIENTS: u32 = 2;
 const KEYS: u64 = 32;
 
 /// Launch the TCP cart service under `plan`, drive `ops_per_client`
-/// closed-loop ops per client, wait for the plan and the tail of
-/// anti-entropy, and return the runtime ready to audit.
-fn run_service(
-    plan: FaultPlan,
-    seed: u64,
-    ops_per_client: u64,
-) -> (Runtime<ServiceMsg>, Vec<NodeId>, Vec<NodeId>) {
-    let mut b = RuntimeBuilder::new().chaos(plan, seed);
-    let store_ids = add_crdt_stores(&mut b, STORES, &DynamoConfig::default());
+/// closed-loop ops per client, settle, shut down, and require the
+/// audit to pass: nothing acked lost, ledger settled, every clause edge
+/// applied exactly once, every crash clause restarted and filed as one
+/// incident. Returns the clause edges as applied.
+fn run_service(plan: &FaultPlan, seed: u64, ops_per_client: u64) -> Vec<String> {
+    let mut b = RuntimeBuilder::new().chaos(plan.clone(), seed);
+    let store_ids = add_stores(&mut b, STORES, 0);
     let clients: Vec<NodeId> = (0..CLIENTS)
         .map(|c| b.add_node(LoadClient::new(c, store_ids.clone(), ops_per_client, KEYS, 60)))
         .collect();
     let rt = b.launch_tcp().expect("tcp launch on ephemeral ports");
-    let deadline = Instant::now() + Duration::from_secs(90);
-    while !clients.iter().all(|&c| rt.inspect::<LoadClient, bool, _>(c, |cl| cl.done())) {
-        assert!(Instant::now() < deadline, "clients stalled under the fault plan");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(
-        rt.chaos().expect("chaos attached").wait_finished(Duration::from_secs(60)),
-        "fault plan never finished"
-    );
-    // Let anti-entropy spread the tail the faults interrupted.
-    std::thread::sleep(Duration::from_millis(800));
-    (rt, store_ids, clients)
-}
-
-/// Audit the shut-down service: every acked add present in the
-/// reconciled join, ledger settled. Returns (acked, restarts, edges).
-fn audit(
-    report: &quicksand_runtime::RuntimeReport<ServiceMsg>,
-    store_ids: &[NodeId],
-    clients: &[NodeId],
-) -> (u64, u64, u64) {
-    let mut acked: Vec<(u64, u64)> = Vec::new();
-    for &c in clients {
-        acked.extend(report.actor::<LoadClient>(c).acked_adds.iter().copied());
-    }
-    assert!(!acked.is_empty(), "the workload acked nothing — test proves nothing");
-    let stores: Vec<&StoreNode<CrdtCart>> =
-        store_ids.iter().map(|&s| report.actor::<StoreNode<CrdtCart>>(s)).collect();
-    let lost: Vec<&(u64, u64)> = acked
-        .iter()
-        .filter(|(key, item)| !reconciled_cart(&stores, *key).contains_key(item))
-        .collect();
-    assert!(lost.is_empty(), "acked adds missing after reconciliation: {lost:?}");
-    assert_eq!(report.core.ledger.open_count(), 0, "guesses left open after quiescence");
-    (
-        acked.len() as u64,
-        report.core.metrics.counter("runtime.restarts"),
-        report.core.metrics.counter("runtime.chaos_clauses"),
-    )
+    wait_done(&rt, &clients, LoadClient::done, Duration::from_secs(90))
+        .expect("clients stalled under the fault plan");
+    settle(&rt, &store_ids, None, None, Duration::from_secs(60))
+        .expect("fault plan never finished");
+    let applied = rt.chaos().expect("chaos attached").applied();
+    let a = audit(&rt.shutdown(), &store_ids, &clients, Some(plan), None, None);
+    assert!(a.acked > 0, "the workload acked nothing — test proves nothing");
+    a.check().expect("the service broke a promise");
+    applied
 }
 
 /// The ISSUE's acceptance plan, written out clause by clause: crash a
@@ -106,43 +72,23 @@ fn explicit_plan() -> FaultPlan {
 
 #[test]
 fn acked_adds_survive_crash_partition_and_degrade_on_live_tcp() {
-    let plan = explicit_plan();
-    let edges_expected = plan.timeline().len() as u64;
-    let (rt, store_ids, clients) = run_service(plan, 0xACCE97, 900);
-    let report = rt.shutdown();
-    let (acked, restarts, edges) = audit(&report, &store_ids, &clients);
-    assert!(acked > 0);
-    assert_eq!(restarts, 1, "exactly the plan's one crash clause restarted");
-    assert_eq!(edges, edges_expected, "every clause edge (onset+heal) applied exactly once");
+    run_service(&explicit_plan(), 0xACCE97, 900);
 }
 
 #[test]
 fn generated_covering_plan_replays_identically_and_stays_lossless() {
     // A generated plan (reproducible from its seed alone) that is
     // guaranteed to exercise crash, partition, and degrade.
-    let all: Vec<NodeId> = (0..(STORES + CLIENTS) as usize).map(NodeId).collect();
-    let stores: Vec<NodeId> = (0..STORES as usize).map(NodeId).collect();
-    let spec = FaultSpec::new(all)
-        .crashable(stores)
-        .window(SimTime::from_millis(150), SimTime::from_millis(1000))
-        .faults(3, 3)
-        .oneway(false);
+    let spec = fault_spec(STORES, CLIENTS, 1000, 3);
     let seed = FaultPlan::covering_seed(0, &spec);
     let plan = FaultPlan::generate(seed, &spec);
     assert!(plan.count_kind("crash") >= 1);
     assert!(plan.count_kind("partition") >= 1);
     assert!(plan.count_kind("degrade") >= 1);
 
-    let run = |ops| {
-        let (rt, store_ids, clients) = run_service(plan.clone(), seed, ops);
-        let applied = rt.chaos().expect("chaos").applied();
-        let report = rt.shutdown();
-        audit(&report, &store_ids, &clients);
-        applied
-    };
-    let first = run(500);
+    let first = run_service(&plan, seed, 500);
     // The reproducibility contract: same seed, same plan, same applied
     // clause sequence — and both runs keep every promise.
     assert_eq!(first, quicksand_runtime::rendered_timeline(&plan));
-    assert_eq!(first, run(300));
+    assert_eq!(first, run_service(&plan, seed, 300));
 }

@@ -5,24 +5,16 @@
 //! restart visibility, and span-schema parity between `/trace` and the
 //! simulator's Perfetto exporter.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use dynamo::DynamoConfig;
+use quicksand::service::{add_stores, wait_done, wait_until, LoadClient};
 use quicksand_bench::http::{http_get, json_number};
-use quicksand_bench::service::{add_crdt_stores, LoadClient};
 use quicksand_runtime::RuntimeBuilder;
 use sim::{Actor, Context, NodeId};
 
-/// Poll `f` every 20ms until it returns true or ~5s elapse.
-fn wait_for(mut f: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while Instant::now() < deadline {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    false
+/// Poll `f` until it returns true or 5s elapse.
+fn wait_for(f: impl FnMut() -> bool) -> bool {
+    wait_until(Duration::from_secs(5), f)
 }
 
 #[test]
@@ -34,7 +26,7 @@ fn telemetry_surface_serves_all_endpoints_under_load() {
         .snapshot_interval(Duration::from_millis(100))
         .flight(2048)
         .trace(2048);
-    let stores = add_crdt_stores(&mut b, 3, &DynamoConfig::default());
+    let stores = add_stores(&mut b, 3, 0);
     let mut clients = Vec::new();
     for c in 0..2 {
         clients.push(b.add_node(LoadClient::new(c, stores.clone(), 300, 64, 50)));
@@ -78,12 +70,8 @@ fn telemetry_surface_serves_all_endpoints_under_load() {
         }),
         "sim.messages_sent never appeared in /metrics"
     );
-    assert!(
-        wait_for(|| {
-            clients.iter().all(|&c| rt.inspect::<LoadClient, bool, _>(c, |cl| cl.done()))
-        }),
-        "load burst did not complete"
-    );
+    wait_done(&rt, &clients, LoadClient::done, Duration::from_secs(5))
+        .expect("load burst did not complete");
     let (_, m2) = http_get(addr, "/metrics?format=json").expect("GET /metrics json again");
     let sent2 = json_number(&m2, "sim.messages_sent").expect("messages_sent in JSON");
     assert!(sent2 > sent1, "counter went {sent1} -> {sent2}, not monotone-increasing");

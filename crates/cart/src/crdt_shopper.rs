@@ -9,7 +9,7 @@
 //! the shopper's edit is applied to the joined view as a CRDT mutation
 //! attributed to the shopper's replica id.
 //!
-//! With [`dynamo::build_crdt_cluster`] the store squashes siblings
+//! With [`dynamo::crdt_store_nodes`] the store squashes siblings
 //! server-side, so most GETs already return a single joined version; the
 //! client-side fold is the belt to that suspender.
 

@@ -10,7 +10,7 @@
 
 use std::collections::BTreeMap;
 
-use dynamo::{build_cluster, build_crdt_cluster, DynamoConfig, DynamoMsg, StoreNode};
+use dynamo::{build_cluster, crdt_store_nodes, store_nodes, DynamoConfig, DynamoMsg, StoreNode};
 use sim::chaos::FaultPlan;
 use sim::{
     FlightRecorder, LedgerAccounting, MetricSet, NodeId, SimDuration, SimTime, Simulation,
@@ -50,12 +50,7 @@ pub struct CartScenario {
     pub plans: Vec<Vec<CartAction>>,
     /// Think time between a shopper's edits.
     pub think: SimDuration,
-    /// Partition the cluster+shoppers into two halves over this window
-    /// (legacy knob, kept for back-compat; equivalent to a single
-    /// two-sided clause in `faults`).
-    pub partition: Option<(SimTime, SimTime)>,
-    /// Declarative fault timeline (partitions, crashes, degrades)
-    /// applied on top of the legacy `partition` knob.
+    /// Declarative fault timeline (partitions, crashes, degrades).
     pub faults: FaultPlan,
     /// Run until here.
     pub horizon: SimTime,
@@ -85,7 +80,6 @@ impl Default for CartScenario {
                 ],
             ],
             think: SimDuration::from_millis(50),
-            partition: None,
             faults: FaultPlan::none(),
             horizon: SimTime::from_secs(30),
             trace: false,
@@ -116,6 +110,39 @@ impl CartScenario {
         deleter.extend((0..6).map(|item| CartAction::Remove { item }));
         let adder = (0..6).map(|item| CartAction::Add { item, qty: 1 }).collect();
         CartScenario { mode, plans: vec![deleter, adder], ..CartScenario::default() }
+    }
+
+    /// The engine cross-check workload (E19, `tests/sim_vs_runtime.rs`):
+    /// three ORSet shoppers on four stores, eight adds each, all items
+    /// distinct (shopper `i` adds `100*i + j` with quantity `j + 1`).
+    /// Add-only keeps the reconciled view schedule-independent — the
+    /// OR-Set join is commutative and no remove can race an add — so
+    /// the simulator and the wall-clock runtime must agree on it.
+    pub fn distinct_adds() -> CartScenario {
+        let add = |i: u64, j: u64| CartAction::Add { item: 100 * i + j, qty: j as u32 + 1 };
+        CartScenario {
+            mode: CartMode::OrSet,
+            n_stores: 4,
+            plans: (0..3).map(|i| (0..8).map(|j| add(i, j)).collect()).collect(),
+            think: SimDuration::from_millis(5),
+            ..CartScenario::default()
+        }
+    }
+
+    /// One two-sided `Fault::Partition` clause over `[at, until)` that
+    /// cuts the scenario in half: the store fleet split down the middle,
+    /// shoppers dealt alternately — each shopper coordinates only
+    /// through its own half's stores, so it is cut off along with them.
+    /// (Stores are nodes `0..n_stores`; shoppers follow in plan order.)
+    pub fn split(&self, at: SimTime, until: SimTime) -> FaultPlan {
+        let n = self.n_stores as usize;
+        let (mut left, mut right): (Vec<NodeId>, Vec<NodeId>) =
+            (0..n).map(NodeId).partition(|s| s.0 < n.div_ceil(2));
+        for i in 0..self.plans.len() {
+            let side = if i % 2 == 0 { &mut left } else { &mut right };
+            side.push(NodeId(n + i));
+        }
+        FaultPlan::partition_window(at, until, &left, &right)
     }
 }
 
@@ -194,23 +221,6 @@ fn count_resurrections(acked: &[AckedEdit], final_cart: &Cart) -> u64 {
         .count() as u64
 }
 
-/// Split the store fleet in halves and attach shoppers alternately, so a
-/// partition separates shoppers fully along with their stores. Returns
-/// (left-with-shoppers, right-with-shoppers) partition sides.
-fn partition_sides(stores: &[NodeId], shopper_nodes: &[NodeId]) -> (Vec<NodeId>, Vec<NodeId>) {
-    let half = stores.len().div_ceil(2);
-    let mut left_side = stores[..half].to_vec();
-    let mut right_side = stores[half..].to_vec();
-    for (i, n) in shopper_nodes.iter().enumerate() {
-        if i % 2 == 0 {
-            left_side.push(*n);
-        } else {
-            right_side.push(*n);
-        }
-    }
-    (left_side, right_side)
-}
-
 /// Run a cart scenario and verify convergence.
 pub fn run(scenario: &CartScenario, seed: u64) -> CartReport {
     match scenario.mode {
@@ -219,37 +229,57 @@ pub fn run(scenario: &CartScenario, seed: u64) -> CartReport {
     }
 }
 
-fn run_oplog(scenario: &CartScenario, seed: u64) -> CartReport {
-    let mut sim: Simulation<DynamoMsg<CartBlob>> = Simulation::new(seed);
+/// The half of a run both cart representations share: the simulation
+/// with its recorders, the store cluster, one shopper per plan attached
+/// to its own half of the store fleet (so a [`CartScenario::split`]
+/// separates shoppers along with their stores), the fault plan, and
+/// the run itself. Returns the finished simulation, the store nodes
+/// and the shopper nodes.
+fn drive<V, A>(
+    scenario: &CartScenario,
+    seed: u64,
+    stores: Vec<StoreNode<V>>,
+    shopper: impl Fn(u32, Vec<NodeId>, Vec<CartAction>) -> A,
+) -> (Simulation<DynamoMsg<V>>, Vec<NodeId>, Vec<NodeId>)
+where
+    V: Clone + std::fmt::Debug + 'static,
+    A: sim::Actor<DynamoMsg<V>>,
+{
+    let mut sim = Simulation::new(seed);
     if scenario.trace {
         sim.enable_trace(1 << 20);
     }
     if scenario.flight {
         sim.enable_flight(1 << 16);
     }
-    let cluster = build_cluster(&mut sim, scenario.n_stores, &scenario.dynamo);
-
-    // Shoppers attach to disjoint halves of the store fleet so a
-    // partition separates them fully.
-    let half = (scenario.n_stores as usize).div_ceil(2);
-    let left: Vec<NodeId> = cluster.stores[..half].to_vec();
-    let right: Vec<NodeId> = cluster.stores[half..].to_vec();
-    let mut shopper_nodes = Vec::new();
+    let stores = build_cluster(&mut sim, stores).stores;
+    let (left, right) = stores.split_at(stores.len().div_ceil(2));
+    let mut shoppers = Vec::new();
     for (i, plan) in scenario.plans.iter().enumerate() {
-        let coords = if i % 2 == 0 { left.clone() } else { right.clone() };
-        let node =
-            sim.add_node(Shopper::new(i as u32, CART_KEY, coords, plan.clone(), scenario.think));
-        shopper_nodes.push(node);
-    }
-
-    if let Some((start, end)) = scenario.partition {
-        let (left_side, right_side) = partition_sides(&cluster.stores, &shopper_nodes);
-        sim.schedule_partition(start, &left_side, &right_side);
-        sim.schedule_heal(end);
+        let coords = if i % 2 == 0 { left } else { right };
+        shoppers.push(sim.add_node(shopper(i as u32, coords.to_vec(), plan.clone())));
     }
     scenario.faults.apply(&mut sim);
-
     sim.run_until(scenario.horizon);
+    (sim, stores, shoppers)
+}
+
+/// Move the run's observability state into the report.
+fn observe<M: Clone + 'static>(mut sim: Simulation<M>, mut report: CartReport) -> CartReport {
+    sim.export_ledger_metrics();
+    report.ledger = sim.ledger().accounting();
+    report.metrics = sim.metrics().clone();
+    report.spans = sim.spans().clone();
+    report.trace_jsonl = sim.trace().map(|t| t.to_jsonl());
+    report.flight = sim.take_flight();
+    report
+}
+
+fn run_oplog(scenario: &CartScenario, seed: u64) -> CartReport {
+    let nodes = store_nodes(scenario.n_stores, 0, &scenario.dynamo);
+    let (sim, stores, shopper_nodes) = drive(scenario, seed, nodes, |i, coords, plan| {
+        Shopper::new(i, CART_KEY, coords, plan, scenario.think)
+    });
 
     let mut report = CartReport::default();
 
@@ -267,7 +297,7 @@ fn run_oplog(scenario: &CartScenario, seed: u64) -> CartReport {
 
     // Converged ledger: union across every store's sibling set.
     let mut ledger = CartBlob::new();
-    for s in &cluster.stores {
+    for s in &stores {
         let node: &StoreNode<CartBlob> = sim.actor(*s);
         for v in node.versions(CART_KEY) {
             ledger.merge(&v.value);
@@ -275,9 +305,8 @@ fn run_oplog(scenario: &CartScenario, seed: u64) -> CartReport {
     }
     // Convergence: every store holds an equivalent sibling set.
     report.converged = {
-        let reference =
-            sim.actor::<StoreNode<CartBlob>>(cluster.stores[0]).versions(CART_KEY).to_vec();
-        cluster.stores.iter().all(|s| {
+        let reference = sim.actor::<StoreNode<CartBlob>>(stores[0]).versions(CART_KEY).to_vec();
+        stores.iter().all(|s| {
             let node: &StoreNode<CartBlob> = sim.actor(*s);
             dynamo::same_versions(node.versions(CART_KEY), &reference)
         })
@@ -292,51 +321,16 @@ fn run_oplog(scenario: &CartScenario, seed: u64) -> CartReport {
 
     report.final_cart = ledger.materialize();
     report.resurrected_items = count_resurrections(&acked, &report.final_cart);
-    sim.export_ledger_metrics();
-    report.ledger = sim.ledger().accounting();
-    report.metrics = sim.metrics().clone();
-    report.spans = sim.spans().clone();
-    report.trace_jsonl = sim.trace().map(|t| t.to_jsonl());
-    report.flight = sim.take_flight();
-    report
+    observe(sim, report)
 }
 
 fn run_orset(scenario: &CartScenario, seed: u64) -> CartReport {
-    let mut sim: Simulation<DynamoMsg<CrdtCart>> = Simulation::new(seed);
-    if scenario.trace {
-        sim.enable_trace(1 << 20);
-    }
-    if scenario.flight {
-        sim.enable_flight(1 << 16);
-    }
-    // The CRDT cluster squashes sibling sets server-side — sound here
+    // The CRDT stores squash sibling sets server-side — sound here
     // because CrdtCart's merge is the application's reconciliation.
-    let cluster = build_crdt_cluster(&mut sim, scenario.n_stores, &scenario.dynamo);
-
-    let half = (scenario.n_stores as usize).div_ceil(2);
-    let left: Vec<NodeId> = cluster.stores[..half].to_vec();
-    let right: Vec<NodeId> = cluster.stores[half..].to_vec();
-    let mut shopper_nodes = Vec::new();
-    for (i, plan) in scenario.plans.iter().enumerate() {
-        let coords = if i % 2 == 0 { left.clone() } else { right.clone() };
-        let node = sim.add_node(CrdtShopper::new(
-            i as u32,
-            CART_KEY,
-            coords,
-            plan.clone(),
-            scenario.think,
-        ));
-        shopper_nodes.push(node);
-    }
-
-    if let Some((start, end)) = scenario.partition {
-        let (left_side, right_side) = partition_sides(&cluster.stores, &shopper_nodes);
-        sim.schedule_partition(start, &left_side, &right_side);
-        sim.schedule_heal(end);
-    }
-    scenario.faults.apply(&mut sim);
-
-    sim.run_until(scenario.horizon);
+    let nodes = crdt_store_nodes(scenario.n_stores, 0, &scenario.dynamo);
+    let (sim, stores, shopper_nodes) = drive(scenario, seed, nodes, |i, coords, plan| {
+        CrdtShopper::new(i, CART_KEY, coords, plan, scenario.think)
+    });
 
     let mut report = CartReport::default();
 
@@ -354,7 +348,7 @@ fn run_orset(scenario: &CartScenario, seed: u64) -> CartReport {
     // The converged cart: the join across every store's versions.
     let mut joined = CrdtCart::new();
     let mut per_store: Vec<CrdtCart> = Vec::new();
-    for s in &cluster.stores {
+    for s in &stores {
         let node: &StoreNode<CrdtCart> = sim.actor(*s);
         let mut local = CrdtCart::new();
         for v in node.versions(CART_KEY) {
@@ -383,18 +377,16 @@ fn run_orset(scenario: &CartScenario, seed: u64) -> CartReport {
     }
 
     report.resurrected_items = count_resurrections(&acked, &report.final_cart);
-    sim.export_ledger_metrics();
-    report.ledger = sim.ledger().accounting();
-    report.metrics = sim.metrics().clone();
-    report.spans = sim.spans().clone();
-    report.trace_jsonl = sim.trace().map(|t| t.to_jsonl());
-    report.flight = sim.take_flight();
-    report
+    observe(sim, report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn split(at: SimTime, until: SimTime) -> FaultPlan {
+        CartScenario::default().split(at, until)
+    }
 
     #[test]
     fn calm_scenario_converges_with_no_anomalies() {
@@ -415,7 +407,7 @@ mod tests {
     #[test]
     fn partition_is_ridden_out_and_every_edit_survives() {
         let scenario = CartScenario {
-            partition: Some((SimTime::from_millis(20), SimTime::from_secs(5))),
+            faults: split(SimTime::from_millis(20), SimTime::from_secs(5)),
             horizon: SimTime::from_secs(40),
             ..CartScenario::default()
         };
@@ -429,12 +421,12 @@ mod tests {
     fn strict_quorum_store_fails_puts_under_partition() {
         let scenario = CartScenario {
             dynamo: DynamoConfig { sloppy: false, ..DynamoConfig::default() },
-            partition: Some((SimTime::from_millis(20), SimTime::from_secs(10))),
+            faults: split(SimTime::from_millis(20), SimTime::from_secs(10)),
             horizon: SimTime::from_secs(40),
             ..CartScenario::default()
         };
         let sloppy = CartScenario {
-            partition: Some((SimTime::from_millis(20), SimTime::from_secs(10))),
+            faults: split(SimTime::from_millis(20), SimTime::from_secs(10)),
             horizon: SimTime::from_secs(40),
             ..CartScenario::default()
         };
@@ -481,7 +473,7 @@ mod tests {
     fn orset_rides_out_a_partition_without_losing_adds() {
         let scenario = CartScenario {
             mode: CartMode::OrSet,
-            partition: Some((SimTime::from_millis(20), SimTime::from_secs(5))),
+            faults: split(SimTime::from_millis(20), SimTime::from_secs(5)),
             horizon: SimTime::from_secs(40),
             ..CartScenario::default()
         };

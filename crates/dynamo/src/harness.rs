@@ -23,8 +23,6 @@ pub struct Cluster {
     pub stores: Vec<NodeId>,
     /// The boot-time ring (nodes evolve their own copies via gossip).
     pub ring: HashRing,
-    /// The boot-time membership view.
-    pub view: MembershipView,
 }
 
 /// The standard boot view plus `spares` standby members: stores
@@ -42,63 +40,46 @@ pub fn standby_view(n_stores: u32, spares: u32) -> MembershipView {
     view
 }
 
-/// Add `n_stores` store nodes to a fresh-but-empty simulation. Store `s`
-/// gets simulation node id `s`; clients must be added afterwards.
-pub fn build_cluster<V: Clone + std::fmt::Debug + 'static>(
-    sim: &mut Simulation<DynamoMsg<V>>,
-    n_stores: u32,
-    cfg: &DynamoConfig,
-) -> Cluster {
-    build_cluster_with_spares(sim, n_stores, 0, cfg)
-}
-
-/// Like [`build_cluster`], plus `spares` standby stores (ids
-/// `n_stores..n_stores+spares`) provisioned outside the ring.
-pub fn build_cluster_with_spares<V: Clone + std::fmt::Debug + 'static>(
-    sim: &mut Simulation<DynamoMsg<V>>,
+/// The store actors of a cluster, built in one place for both engines:
+/// `n_stores` ring members followed by `spares` standbys outside the
+/// ring. Store `s` addresses its peers as node id `s`, so the caller
+/// must add these — in order — to a fresh [`Simulation`]
+/// ([`build_cluster`]) or runtime builder *before* any client.
+pub fn store_nodes<V: Clone + std::fmt::Debug + 'static>(
     n_stores: u32,
     spares: u32,
     cfg: &DynamoConfig,
-) -> Cluster {
+) -> Vec<StoreNode<V>> {
     let view = standby_view(n_stores, spares);
-    let stores: Vec<NodeId> = (0..(n_stores + spares) as usize).map(NodeId).collect();
-    for s in 0..n_stores + spares {
-        let id = sim.add_node(StoreNode::<V>::new(s, view.clone(), stores.clone(), cfg.clone()));
-        debug_assert_eq!(id, stores[s as usize]);
-    }
-    Cluster { stores, ring: HashRing::from_view(&view, cfg.vnodes as u32), view }
+    let peers: Vec<NodeId> = (0..(n_stores + spares) as usize).map(NodeId).collect();
+    (0..n_stores + spares)
+        .map(|s| StoreNode::new(s, view.clone(), peers.clone(), cfg.clone()))
+        .collect()
 }
 
-/// Like [`build_cluster`], but the stored value is a [`crdt::Crdt`] and
+/// Like [`store_nodes`], but the stored value is a [`crdt::Crdt`] and
 /// every node squashes concurrent siblings server-side (see
 /// [`StoreNode::with_sibling_squash`]): GETs return a single joined
 /// version instead of a sibling set, and anti-entropy carries squashed
 /// slots. Sound because the merge laws (§8) make the join lossless.
-pub fn build_crdt_cluster<V: crdt::Crdt + 'static>(
-    sim: &mut Simulation<DynamoMsg<V>>,
-    n_stores: u32,
-    cfg: &DynamoConfig,
-) -> Cluster {
-    build_crdt_cluster_with_spares(sim, n_stores, 0, cfg)
-}
-
-/// Like [`build_crdt_cluster`], plus `spares` standby stores outside the
-/// ring.
-pub fn build_crdt_cluster_with_spares<V: crdt::Crdt + 'static>(
-    sim: &mut Simulation<DynamoMsg<V>>,
+pub fn crdt_store_nodes<V: crdt::Crdt + 'static>(
     n_stores: u32,
     spares: u32,
     cfg: &DynamoConfig,
+) -> Vec<StoreNode<V>> {
+    store_nodes(n_stores, spares, cfg).into_iter().map(|n| n.with_sibling_squash()).collect()
+}
+
+/// Add a cluster's store actors ([`store_nodes`] or
+/// [`crdt_store_nodes`]) to a fresh-but-empty simulation.
+pub fn build_cluster<V: Clone + std::fmt::Debug + 'static>(
+    sim: &mut Simulation<DynamoMsg<V>>,
+    nodes: Vec<StoreNode<V>>,
 ) -> Cluster {
-    let view = standby_view(n_stores, spares);
-    let stores: Vec<NodeId> = (0..(n_stores + spares) as usize).map(NodeId).collect();
-    for s in 0..n_stores + spares {
-        let node =
-            StoreNode::<V>::new(s, view.clone(), stores.clone(), cfg.clone()).with_sibling_squash();
-        let id = sim.add_node(node);
-        debug_assert_eq!(id, stores[s as usize]);
-    }
-    Cluster { stores, ring: HashRing::from_view(&view, cfg.vnodes as u32), view }
+    let ring = nodes[0].ring().clone();
+    let stores: Vec<NodeId> = nodes.into_iter().map(|n| sim.add_node(n)).collect();
+    debug_assert!(stores.iter().enumerate().all(|(s, id)| id.0 == s), "stores must come first");
+    Cluster { stores, ring }
 }
 
 /// What a probe saw come back for one request.
@@ -200,7 +181,7 @@ mod tests {
 
     fn cluster(seed: u64, n: u32) -> (Simulation<Msg>, Cluster, NodeId) {
         let mut sim = Simulation::new(seed);
-        let c = build_cluster(&mut sim, n, &DynamoConfig::default());
+        let c = build_cluster(&mut sim, store_nodes(n, 0, &DynamoConfig::default()));
         let probe = sim.add_node(Probe::<&'static str>::new());
         (sim, c, probe)
     }
@@ -378,7 +359,7 @@ mod tests {
         let mut cfg = DynamoConfig { gossip_interval: None, ..DynamoConfig::default() };
         cfg.r = 2;
         let mut sim: Simulation<Msg> = Simulation::new(6);
-        let c = build_cluster(&mut sim, 3, &cfg);
+        let c = build_cluster(&mut sim, store_nodes(3, 0, &cfg));
         let probe = sim.add_node(Probe::<&'static str>::new());
         // Isolate the coordinator completely from the other stores.
         let rest: Vec<NodeId> = c.stores[1..].to_vec();
@@ -396,7 +377,7 @@ mod tests {
     fn crdt_cluster_squashes_concurrent_siblings() {
         use crdt::GCounter;
         let mut sim: Simulation<DynamoMsg<GCounter>> = Simulation::new(8);
-        let c = build_crdt_cluster(&mut sim, 4, &DynamoConfig::default());
+        let c = build_cluster(&mut sim, crdt_store_nodes(4, 0, &DynamoConfig::default()));
         let probe = sim.add_node(Probe::<GCounter>::new());
         // Two blind writers on different coordinators — with a plain
         // cluster these surface as two siblings; here they squash.
@@ -470,7 +451,7 @@ mod tests {
     #[test]
     fn spare_joins_and_receives_its_key_range() {
         let mut sim: Simulation<Msg> = Simulation::new(11);
-        let c = build_cluster_with_spares(&mut sim, 3, 1, &DynamoConfig::default());
+        let c = build_cluster(&mut sim, store_nodes(3, 1, &DynamoConfig::default()));
         let spare = c.stores[3];
         let probe = sim.add_node(Probe::<&'static str>::new());
         // Seed data while the spare is a silent standby.
@@ -509,7 +490,7 @@ mod tests {
     #[test]
     fn graceful_leave_streams_keys_out_before_departing() {
         let mut sim: Simulation<Msg> = Simulation::new(12);
-        let c = build_cluster(&mut sim, 4, &DynamoConfig::default());
+        let c = build_cluster(&mut sim, store_nodes(4, 0, &DynamoConfig::default()));
         let probe = sim.add_node(Probe::<&'static str>::new());
         for (i, key) in (0..20u64).enumerate() {
             put_at(

@@ -9,8 +9,6 @@
 //!
 //! What's here, all built on the `sim` substrate:
 //!
-//! - [`ring::Ring`] — consistent hashing with virtual nodes and minimal
-//!   remapping on membership change.
 //! - [`vclock::VectorClock`] — the causality metadata that distinguishes
 //!   ancestors (dropped) from genuine siblings (surfaced).
 //! - [`version`] — sibling-set maintenance: no version in a slot ever
@@ -37,18 +35,15 @@
 pub mod harness;
 pub mod msg;
 pub mod node;
-pub mod ring;
 pub mod vclock;
 pub mod version;
 pub mod workload;
 
 pub use harness::{
-    build_cluster, build_cluster_with_spares, build_crdt_cluster, build_crdt_cluster_with_spares,
-    standby_view, Cluster, Probe, ProbeResult,
+    build_cluster, crdt_store_nodes, standby_view, store_nodes, Cluster, Probe, ProbeResult,
 };
 pub use msg::DynamoMsg;
 pub use node::{DynamoConfig, GossipMode, StoreNode};
-pub use ring::Ring;
 pub use vclock::{Causality, StoreId, VectorClock};
 pub use version::{merge_version, merge_versions, same_versions, Dot, Versioned};
 pub use workload::{run_workload, Loader, WorkloadConfig, WorkloadReport};

@@ -14,7 +14,7 @@ use sim::{
     SpanId, SpanStatus, SpanStore,
 };
 
-use crate::harness::{build_cluster_with_spares, Cluster};
+use crate::harness::{build_cluster, store_nodes, Cluster};
 use crate::msg::DynamoMsg;
 use crate::node::{DynamoConfig, StoreNode};
 use crate::vclock::VectorClock;
@@ -260,7 +260,7 @@ impl Actor<DynamoMsg<u64>> for Loader {
 /// heal plus a gossip-settling margin.
 pub fn run_workload_sim(cfg: &WorkloadConfig, seed: u64) -> (Simulation<DynamoMsg<u64>>, Cluster) {
     let mut sim: Simulation<DynamoMsg<u64>> = Simulation::new(seed);
-    let cluster = build_cluster_with_spares(&mut sim, cfg.n_stores, cfg.spares, &cfg.dynamo);
+    let cluster = build_cluster(&mut sim, store_nodes(cfg.n_stores, cfg.spares, &cfg.dynamo));
     // Coordinators are the boot-time ring members; spares (and leavers)
     // are reachable through the ring, not addressed directly.
     let loader = Loader::new(

@@ -165,6 +165,34 @@ mod tests {
     }
 
     #[test]
+    fn short_rings_return_everyone() {
+        let ring = HashRing::new(2, 16);
+        assert_eq!(ring.preference_list(42, 5).len(), 2);
+    }
+
+    #[test]
+    fn load_spreads_across_members() {
+        let ring = HashRing::new(4, 128);
+        let mut counts = [0usize; 4];
+        for key in 0..4000u64 {
+            counts[ring.coordinator(key).unwrap() as usize] += 1;
+        }
+        for c in counts {
+            assert!((500..2000).contains(&c), "coordinator load skewed: {counts:?}");
+        }
+    }
+
+    #[test]
+    fn len_tracks_membership() {
+        let mut ring = HashRing::new(3, 8);
+        assert_eq!(ring.len(), 3);
+        ring.remove_member(1);
+        assert_eq!(ring.len(), 2);
+        ring.add_member(7, 0);
+        assert_eq!(ring.len(), 3);
+    }
+
+    #[test]
     fn ring_is_a_pure_function_of_the_member_set() {
         let a = HashRing::new(6, 32);
         let mut b = HashRing::empty(32);

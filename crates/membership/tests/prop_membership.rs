@@ -1,5 +1,5 @@
 //! Property tests for the membership control plane: ring determinism,
-//! bounded disruption on join, merge-law certification over random
+//! bounded disruption on join and leave, merge-law certification over random
 //! views, and the down-verdict lifecycle.
 
 use crdt::{check_merge_laws, Crdt};
@@ -84,6 +84,28 @@ proptest! {
         for k in 0..keys {
             if before.coordinator(k) != after.coordinator(k) {
                 prop_assert_eq!(after.coordinator(k), Some(joiner));
+            }
+        }
+    }
+
+    /// Bounded disruption on leave: preference lists stay distinct, the
+    /// removed member vanishes from every list, and a key whose list
+    /// never named it keeps its coordinator.
+    #[test]
+    fn leave_remaps_minimally(keys in prop::collection::vec(any::<u64>(), 1..100)) {
+        let before = HashRing::new(6, 64);
+        let mut after = before.clone();
+        after.remove_member(3);
+        for key in keys {
+            let pb = before.preference_list(key, 3);
+            let pa = after.preference_list(key, 3);
+            let mut dedup = pb.clone();
+            dedup.sort_unstable();
+            dedup.dedup();
+            prop_assert_eq!(dedup.len(), pb.len());
+            prop_assert!(!pa.contains(&3));
+            if !pb.contains(&3) {
+                prop_assert_eq!(pa[0], pb[0]);
             }
         }
     }

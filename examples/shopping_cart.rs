@@ -26,7 +26,7 @@ use quicksand::cart::{run, CartAction, CartMode, CartReport, CartScenario};
 use quicksand::sim::{SimDuration, SimTime};
 
 fn scenario(mode: CartMode, trace: bool) -> CartScenario {
-    CartScenario {
+    let mut scenario = CartScenario {
         mode,
         trace,
         n_stores: 5,
@@ -46,10 +46,11 @@ fn scenario(mode: CartMode, trace: bool) -> CartScenario {
             vec![CartAction::Add { item: 2, qty: 1 }, CartAction::Add { item: 6, qty: 1 }],
         ],
         think: SimDuration::from_millis(40),
-        partition: Some((SimTime::from_millis(60), SimTime::from_secs(10))),
         horizon: SimTime::from_secs(45),
         ..CartScenario::default()
-    }
+    };
+    scenario.faults = scenario.split(SimTime::from_millis(60), SimTime::from_secs(10));
+    scenario
 }
 
 fn mode_name(mode: CartMode) -> &'static str {

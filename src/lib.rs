@@ -21,10 +21,14 @@
 //! - [`chaos`] — cross-substrate chaos scenarios: per-substrate
 //!   [`ChaosRun`](sim::chaos::ChaosRun) builders with invariant sets,
 //!   over the seed-driven fault-plan engine in [`sim::chaos`].
+//! - [`service`] — the wall-clock peer: the cart service on the
+//!   multi-threaded runtime, with the one construct / drive / settle /
+//!   audit harness every wall-clock driver shares.
 
 #![forbid(unsafe_code)]
 
 pub mod chaos;
+pub mod service;
 
 pub use bank;
 pub use cart;

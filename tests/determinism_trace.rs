@@ -8,7 +8,7 @@ use quicksand::sim::SimTime;
 
 fn traced_scenario() -> CartScenario {
     CartScenario {
-        partition: Some((SimTime::from_millis(20), SimTime::from_secs(5))),
+        faults: CartScenario::default().split(SimTime::from_millis(20), SimTime::from_secs(5)),
         horizon: SimTime::from_secs(40),
         trace: true,
         ..CartScenario::default()

@@ -9,7 +9,7 @@ use quicksand::logship::{run as run_ship, LogshipConfig, RecoveryPolicy, ShipMod
 use quicksand::sim::{SimDuration, SimTime};
 
 fn cart_scenario(partition: bool) -> CartScenario {
-    CartScenario {
+    let mut scenario = CartScenario {
         n_stores: 5,
         plans: (0..4)
             .map(|s| {
@@ -26,11 +26,14 @@ fn cart_scenario(partition: bool) -> CartScenario {
             })
             .collect(),
         think: SimDuration::from_millis(30),
-        partition: partition.then(|| (SimTime::from_millis(50), SimTime::from_secs(8))),
         horizon: SimTime::from_secs(60),
         dynamo: DynamoConfig::default(),
         ..CartScenario::default()
+    };
+    if partition {
+        scenario.faults = scenario.split(SimTime::from_millis(50), SimTime::from_secs(8));
     }
+    scenario
 }
 
 #[test]

@@ -19,30 +19,21 @@
 //! idempotence", where membership, not count, is the idempotent part).
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cart::{CartAction, CartMode, CartScenario, CrdtCart, CrdtShopper, CART_KEY};
-use crdt::Crdt;
-use dynamo::{standby_view, DynamoConfig, DynamoMsg, StoreNode};
-use quicksand_runtime::{Runtime, RuntimeBuilder};
-use sim::{Fault, FaultPlan, NodeId, SimDuration, SimTime};
+use cart::{CartAction, CartScenario};
+use quicksand::service::run_shoppers;
+use sim::{Fault, FaultPlan, NodeId, SimTime};
 
-const N_STORES: u32 = 4;
-
-/// Three shoppers, eight adds each, all items distinct.
-fn plans() -> Vec<Vec<CartAction>> {
-    (0..3u64)
-        .map(|i| {
-            (0..8u64).map(|j| CartAction::Add { item: 100 * i + j, qty: j as u32 + 1 }).collect()
-        })
-        .collect()
+fn scenario(faults: FaultPlan) -> CartScenario {
+    CartScenario { horizon: SimTime::from_secs(60), faults, ..CartScenario::distinct_adds() }
 }
 
 /// Total quantity each planned item should reach when applied exactly
 /// once (retries may inflate it, never deflate it).
 fn planned_qtys() -> BTreeMap<u64, u32> {
     let mut m = BTreeMap::new();
-    for plan in plans() {
+    for plan in scenario(FaultPlan::none()).plans {
         for a in plan {
             if let CartAction::Add { item, qty } = a {
                 m.insert(item, qty);
@@ -52,92 +43,16 @@ fn planned_qtys() -> BTreeMap<u64, u32> {
     m
 }
 
-/// Stand up the service on the wall-clock runtime: the same ring
-/// construction as [`dynamo::build_crdt_cluster`] (stores at node ids
-/// `0..n`), shoppers added after. Mirrored inline because the root
-/// package sits below the bench crate in the dependency graph.
-fn launch_runtime(seed: u64) -> (Runtime<DynamoMsg<CrdtCart>>, Vec<NodeId>, Vec<NodeId>) {
-    let cfg = DynamoConfig::default();
-    let view = standby_view(N_STORES, 0);
-    let mut b = RuntimeBuilder::new().seed(seed);
-    let stores: Vec<NodeId> = (0..N_STORES as usize).map(NodeId).collect();
-    for s in 0..N_STORES {
-        b.add_node(
-            StoreNode::<CrdtCart>::new(s, view.clone(), stores.clone(), cfg.clone())
-                .with_sibling_squash(),
-        );
-    }
-    let shoppers: Vec<NodeId> = plans()
-        .into_iter()
-        .enumerate()
-        .map(|(i, plan)| {
-            b.add_node(CrdtShopper::new(
-                i as u32,
-                CART_KEY,
-                stores.clone(),
-                plan,
-                SimDuration::from_millis(5),
-            ))
-        })
-        .collect();
-    (b.launch(), stores, shoppers)
-}
-
-/// Wait (wall clock) until every shopper acked its whole plan, let
-/// anti-entropy converge, then reconcile: join every store's sibling
-/// set for the cart key and materialize. Returns (acked edit count,
-/// materialized cart).
-fn finish_runtime(
-    rt: Runtime<DynamoMsg<CrdtCart>>,
-    stores: &[NodeId],
-    shoppers: &[NodeId],
-) -> (u64, BTreeMap<u64, u32>) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        std::thread::sleep(Duration::from_millis(20));
-        let done = shoppers.iter().all(|&s| rt.inspect::<CrdtShopper, bool, _>(s, |sh| sh.done()));
-        if done {
-            break;
-        }
-        assert!(Instant::now() < deadline, "runtime half did not finish in 60s");
-    }
-    std::thread::sleep(Duration::from_millis(300));
-
-    let report = rt.shutdown();
-    let acked: u64 =
-        shoppers.iter().map(|&s| report.actor::<CrdtShopper>(s).acked.len() as u64).sum();
-    let mut joined = CrdtCart::new();
-    for &s in stores {
-        for v in report.actor::<StoreNode<CrdtCart>>(s).versions(CART_KEY) {
-            joined.merge(&v.value);
-        }
-    }
-    (acked, joined.materialize())
-}
-
-fn sim_run(seed: u64, faults: FaultPlan) -> cart::CartReport {
-    let scenario = CartScenario {
-        mode: CartMode::OrSet,
-        n_stores: N_STORES,
-        plans: plans(),
-        think: SimDuration::from_millis(5),
-        horizon: SimTime::from_secs(60),
-        faults,
-        ..CartScenario::default()
-    };
-    cart::run(&scenario, seed)
-}
-
 #[test]
 fn fault_free_runs_agree_exactly() {
     let seed = 0xC1DE2009;
-    let sim = sim_run(seed, FaultPlan::none());
+    let scenario = scenario(FaultPlan::none());
+    let sim = cart::run(&scenario, seed);
     assert_eq!(sim.lost_edits, 0, "sim lost acked edits fault-free");
 
-    let (rt, stores, shoppers) = launch_runtime(seed);
-    let (rt_acked, rt_cart) = finish_runtime(rt, &stores, &shoppers);
+    let (rt_acked, rt_cart) = run_shoppers(&scenario, seed, |_| {});
 
-    let total_planned: u64 = plans().iter().map(|p| p.len() as u64).sum();
+    let total_planned: u64 = scenario.plans.iter().map(|p| p.len() as u64).sum();
     assert_eq!(rt_acked, total_planned, "every planned edit must ack");
     // Fault-free on a reliable loopback there are no retries, so the
     // reconciled carts agree item-for-item *and* quantity-for-quantity.
@@ -155,16 +70,16 @@ fn induced_crash_loses_no_acked_adds_on_either_engine() {
         node: victim,
         restart_at: Some(SimTime::from_millis(130)),
     }]);
-    let sim = sim_run(seed, faults);
+    let sim = cart::run(&scenario(faults), seed);
     assert_eq!(sim.lost_edits, 0, "sim lost acked edits under crash");
 
     // Runtime half: same crash/restart induced in wall time.
-    let (rt, stores, shoppers) = launch_runtime(seed);
-    std::thread::sleep(Duration::from_millis(30));
-    rt.crash(victim);
-    std::thread::sleep(Duration::from_millis(100));
-    rt.restart(victim);
-    let (rt_acked, rt_cart) = finish_runtime(rt, &stores, &shoppers);
+    let (rt_acked, rt_cart) = run_shoppers(&scenario(FaultPlan::none()), seed, |rt| {
+        std::thread::sleep(Duration::from_millis(30));
+        rt.crash(victim);
+        std::thread::sleep(Duration::from_millis(100));
+        rt.restart(victim);
+    });
 
     // The §6.4 promise on both engines: nothing acked may be lost.
     // With distinct add-only items both reconciled item *sets* are the
