@@ -145,7 +145,7 @@ mod tests {
             missing_ancestors: 0,
             total_recorded: 0,
         };
-        Explanation::new(seed, slice, FaultPlan::none(), SpanStore::default())
+        Explanation::new(seed, slice, FaultPlan::none(), &SpanStore::new())
     }
 
     #[test]

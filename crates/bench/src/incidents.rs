@@ -187,7 +187,7 @@ mod tests {
             at: SimTime::from_micros(250),
             target: FlightId(7),
             orphaned_guesses: vec!["cart.add".to_owned()],
-            explanation: Explanation::new(9, slice, FaultPlan::none(), SpanStore::default()),
+            explanation: Explanation::new(9, slice, FaultPlan::none(), &SpanStore::new()),
         }
     }
 

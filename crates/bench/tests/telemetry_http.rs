@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use quicksand::service::{add_stores, wait_done, wait_until, LoadClient};
 use quicksand_bench::http::{http_get, json_number};
-use quicksand_runtime::RuntimeBuilder;
+use quicksand_runtime::{RuntimeBuilder, DEFAULT_SPAN_CAP};
 use sim::{Actor, Context, NodeId};
 
 /// Poll `f` until it returns true or 5s elapse.
@@ -153,8 +153,7 @@ fn telemetry_surface_serves_all_endpoints_under_load() {
     // child are both present, and the filtered view is a strict subset
     // of the full tail. An unknown span is a 404.
     let (root, child) = rt.with_core(|c| {
-        let spans = c.spans.spans();
-        let child = spans.iter().find(|s| s.parent.is_some()).expect("a child span under load");
+        let child = c.spans.spans().find(|s| s.parent.is_some()).expect("a child span under load");
         (child.parent.unwrap(), child.id)
     });
     let (code, sub) = http_get(addr, &format!("/trace?span=S{}", root.0)).expect("GET /trace?span");
@@ -213,6 +212,74 @@ fn telemetry_surface_serves_all_endpoints_under_load() {
     );
     let (_, prom) = http_get(addr, "/metrics").expect("GET /metrics after restart");
     assert!(prom.contains("quicksand_runtime_restarts{node=\"n2\"} 1"), "{prom}");
+
+    rt.shutdown();
+}
+
+/// The span store is a window: drive the service past
+/// [`DEFAULT_SPAN_CAP`] spans and every route that reads it must say
+/// what was dropped — gauges on `/metrics`, a bounded and labelled
+/// `/trace`, and a 404 that tells "evicted" from "never recorded".
+#[test]
+fn span_window_is_bounded_and_self_describing_over_http() {
+    let mut b = RuntimeBuilder::new()
+        .seed(13)
+        .telemetry("127.0.0.1:0")
+        .expect("bind telemetry")
+        .snapshot_interval(Duration::from_millis(100));
+    let stores = add_stores(&mut b, 3, 0);
+    let clients: Vec<NodeId> =
+        (0..2).map(|c| b.add_node(LoadClient::new(c, stores.clone(), 800, 64, 50))).collect();
+    let rt = b.launch();
+    let addr = rt.telemetry_addr().expect("telemetry enabled");
+    wait_done(&rt, &clients, LoadClient::done, Duration::from_secs(30))
+        .expect("load burst did not complete");
+    let (opened, open) = rt.with_core(|c| (c.spans.len(), c.spans.open_spans().count()));
+    assert!(opened > DEFAULT_SPAN_CAP, "load too small to move the window: {opened} spans");
+
+    // The two gauges, in both formats. Gossip keeps opening spans, so
+    // the bound is checked, not an exact count.
+    let (_, m) = http_get(addr, "/metrics?format=json").expect("GET /metrics json");
+    let retained = json_number(&m, "runtime.spans_retained").expect("spans_retained gauge");
+    let evicted = json_number(&m, "runtime.spans_evicted").expect("spans_evicted gauge");
+    assert!(retained <= (DEFAULT_SPAN_CAP + open + 64) as f64, "retained {retained}: {m}");
+    assert!(evicted >= (opened - DEFAULT_SPAN_CAP - open) as f64, "evicted {evicted}: {m}");
+    let (_, prom) = http_get(addr, "/metrics").expect("GET /metrics");
+    assert!(prom.contains("\nquicksand_runtime_spans_retained "), "{prom}");
+    assert!(prom.contains("\nquicksand_runtime_spans_evicted "), "{prom}");
+
+    // /trace serves at most what is retained however much is asked
+    // for, and opens by saying how much is gone.
+    let (code, trace) = http_get(addr, "/trace?limit=1000000").expect("GET /trace");
+    assert_eq!(code, 200);
+    let served = trace.matches("\"cat\":\"span\"").count();
+    assert!(served > 0 && served <= DEFAULT_SPAN_CAP + open + 64, "{served} spans served");
+    assert!(trace.contains("\"name\":\"quicksand.spans_evicted\",\"ph\":\"M\""), "no drop notice");
+    let (_, tail) = http_get(addr, "/trace?limit=10").expect("GET /trace?limit=10");
+    assert_eq!(tail.matches("\"cat\":\"span\"").count(), 10);
+
+    // A subtree rooted in the window still streams; ids are absolute,
+    // far from positions by now.
+    let (root, child) = rt.with_core(|c| {
+        let child =
+            c.spans.spans().rev().find(|s| s.parent.is_some_and(|p| c.spans.get(p).is_some()));
+        let child = child.expect("a retained child with a retained parent");
+        (child.parent.unwrap(), child.id)
+    });
+    assert!(root.0 > DEFAULT_SPAN_CAP as u64 / 2, "{root} is not past the first window");
+    let (code, sub) = http_get(addr, &format!("/trace?span={root}")).expect("GET /trace?span");
+    assert_eq!(code, 200, "{sub}");
+    assert!(sub.contains(&format!("\"span\":\"{root}\"")), "{sub}");
+    assert!(sub.contains(&format!("\"span\":\"{child}\"")), "{sub}");
+    assert!(sub.matches("\"cat\":\"span\"").count() < served, "subtree filter did not narrow");
+
+    // Two different operator facts, two different answers.
+    let (code, body) = http_get(addr, "/trace?span=S0").expect("evicted span");
+    assert_eq!(code, 404);
+    assert!(body.contains("span S0 evicted"), "{body}");
+    let (code, body) = http_get(addr, "/trace?span=S99999999").expect("unknown span");
+    assert_eq!(code, 404);
+    assert!(body.contains("span S99999999 never recorded"), "{body}");
 
     rt.shutdown();
 }

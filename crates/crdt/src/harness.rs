@@ -207,6 +207,6 @@ mod tests {
     #[test]
     fn anti_entropy_rounds_are_spanned() {
         let report = run_orset_replication(&ReplicationScenario::default(), 11);
-        assert!(report.spans.spans().iter().any(|s| s.name == "crdt.anti_entropy"));
+        assert!(report.spans.spans().any(|s| s.name == "crdt.anti_entropy"));
     }
 }

@@ -42,7 +42,7 @@ pub use chaos::{rendered_timeline, ChaosController, ChaosStats, NetChaos};
 pub use clock::WallClock;
 pub use runtime::{
     BoxedActor, Runtime, RuntimeBuilder, RuntimeReport, TransportKind, DEFAULT_FLIGHT_CAP,
-    DEFAULT_GUESS_DEADLINE,
+    DEFAULT_GUESS_DEADLINE, DEFAULT_SPAN_CAP,
 };
 pub use telemetry::NodeStatus;
 pub use transport::Transport;

@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 use quicksand_core::WireCodec;
 use sim::{
     Action, Actor, Context, EngineCore, FlightId, FlightRecorder, IncidentKind, NodeId,
-    SimDuration, SimTime, SpanId, SpanStatus, Trace,
+    SimDuration, SimTime, SpanId, SpanStatus, SpanStore, Trace,
 };
 
 use crate::chaos::{ChaosController, ChaosTransport, CtlHook, NetChaos};
@@ -72,6 +72,13 @@ pub type BoxedActor<M> = Box<dyn Actor<M> + Send>;
 /// slice, so the recorder runs by default ([`RuntimeBuilder::flight`]
 /// with `0` disables it).
 pub const DEFAULT_FLIGHT_CAP: usize = 4096;
+
+/// How many finished spans the runtime's span store retains (about
+/// 7 MB): a process must hold flat memory for as long as it serves, so
+/// unlike the simulator's, its store is a window. Open spans are kept
+/// whatever their age; `/metrics`, `/trace` and `/explain` say what
+/// was dropped.
+pub const DEFAULT_SPAN_CAP: usize = 16_384;
 
 /// Default deadline after which a still-open guess files a
 /// guess-deadline incident (the apology is overdue).
@@ -336,6 +343,7 @@ impl<M: Send + 'static> RuntimeBuilder<M> {
         });
         let wheel = Arc::new(TimerWheel::new());
         let mut core = EngineCore::new(seed);
+        core.spans = SpanStore::bounded(DEFAULT_SPAN_CAP);
         let flight_cap = self.flight_cap.unwrap_or(DEFAULT_FLIGHT_CAP);
         if flight_cap > 0 {
             core.flight = Some(FlightRecorder::new(flight_cap));

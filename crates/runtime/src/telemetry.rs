@@ -47,7 +47,7 @@
 //! capture cost per interval is proportional to new traffic, not run
 //! length.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,7 +56,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sim::{EngineCore, GuessId, LogHistogram, SimTime, SpanId};
+use sim::{EngineCore, GuessId, LogHistogram, SimTime, SpanId, SpanStore};
 
 /// Live status of one node, updated by its worker thread and read by
 /// the telemetry surface without taking the core lock.
@@ -452,8 +452,23 @@ fn handle_connection(stream: TcpStream, core: Arc<dyn CoreHandle>, ring: Arc<Mut
                 },
             };
             if let Some(id) = span {
-                if core.lock_core().spans.get(id).is_none() {
-                    let msg = format!("no span S{} recorded\n", id.0);
+                // Two different operator facts: the window moved past
+                // it, or it never existed.
+                let gone = {
+                    let core = core.lock_core();
+                    match core.spans.get(id) {
+                        Some(_) => None,
+                        None if core.spans.was_evicted(id) => Some(format!(
+                            "span {id} evicted (oldest retained: S{})\n",
+                            core.spans.first_retained()
+                        )),
+                        None => Some(format!(
+                            "span {id} never recorded ({} opened so far)\n",
+                            core.spans.len()
+                        )),
+                    }
+                };
+                if let Some(msg) = gone {
                     respond(&mut stream, 404, "text/plain", &msg);
                     return;
                 }
@@ -563,40 +578,51 @@ fn respond(stream: &mut TcpStream, code: u16, content_type: &str, body: &str) {
     stream.write_all(head.as_bytes()).and_then(|_| stream.write_all(body.as_bytes())).ok();
 }
 
-/// Stream the most recent `limit` spans as a Chrome trace array using
-/// chunked transfer encoding. With `root` set, only the subtree under
-/// that span (the span plus its transitive descendants — one request's
-/// causal footprint) is emitted. The span JSON is rendered under the
-/// core lock (bounded by `limit`), but socket writes happen after
-/// release so a slow reader cannot stall the runtime.
+/// Stream the most recent `limit` retained spans as a Chrome trace
+/// array using chunked transfer encoding. With `root` set, only the
+/// subtree under that span (the span plus its transitive descendants —
+/// one request's causal footprint) is emitted; a descendant whose
+/// parent has been evicted cannot be linked to it and is left out. Once
+/// the store has evicted anything the array opens with a metadata
+/// (`"ph":"M"`) event saying how much, so a tail is never mistaken for
+/// the whole run. The span JSON is rendered under the core lock
+/// (bounded by `limit` and the store's capacity), but socket writes
+/// happen after release so a slow reader cannot stall the runtime.
 fn stream_trace(stream: &mut TcpStream, core: &dyn CoreHandle, limit: usize, root: Option<SpanId>) {
     let events: Vec<String> = {
         let core = core.lock_core();
-        let spans = core.spans.spans();
+        let store = &core.spans;
+        let mut events = Vec::new();
+        if store.evicted() > 0 {
+            events.push(format!(
+                "{{\"name\":\"quicksand.spans_evicted\",\"ph\":\"M\",\"pid\":0,\"args\":\
+                 {{\"evicted\":{},\"retained\":{},\"first_retained\":\"S{}\"}}}}",
+                store.evicted(),
+                store.retained(),
+                store.first_retained()
+            ));
+        }
         match root {
             None => {
-                let start = spans.len().saturating_sub(limit);
-                spans[start..].iter().map(|s| s.to_chrome_event()).collect()
+                let skip = store.retained().saturating_sub(limit);
+                events.extend(store.spans().skip(skip).map(|s| s.to_chrome_event()));
             }
             Some(root) => {
                 // Spans are stored in open order, so a parent always
                 // precedes its children: one forward pass with a
                 // membership set covers the whole subtree.
-                let mut member = vec![false; spans.len()];
-                let mut events = Vec::new();
-                for s in spans {
-                    let in_tree = s.id == root
-                        || s.parent.is_some_and(|p| member.get(p.0 as usize) == Some(&true));
-                    if let Some(slot) = member.get_mut(s.id.0 as usize) {
-                        *slot = in_tree;
-                    }
-                    if in_tree && events.len() < limit {
-                        events.push(s.to_chrome_event());
+                let mut member = BTreeSet::new();
+                for s in store.spans() {
+                    if s.id == root || s.parent.is_some_and(|p| member.contains(&p)) {
+                        member.insert(s.id);
+                        if member.len() <= limit {
+                            events.push(s.to_chrome_event());
+                        }
                     }
                 }
-                events
             }
         }
+        events
     };
     let head = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
                 Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n";
@@ -693,11 +719,14 @@ fn render_health(core: &dyn CoreHandle) -> (bool, String) {
 }
 
 /// Runtime-only gauges, as (name, labels-suffix-or-empty, value).
-fn runtime_gauges(core: &dyn CoreHandle) -> Vec<(String, f64)> {
+/// `spans` is the locked core's store: the caller holds the lock.
+fn runtime_gauges(core: &dyn CoreHandle, spans: &SpanStore) -> Vec<(String, f64)> {
     let nodes = core.nodes();
     let mut out = vec![
         ("runtime.nodes_up".to_owned(), nodes.iter().filter(|n| n.is_up()).count() as f64),
         ("runtime.timer_wheel_size".to_owned(), core.timer_wheel_len() as f64),
+        ("runtime.spans_retained".to_owned(), spans.retained() as f64),
+        ("runtime.spans_evicted".to_owned(), spans.evicted() as f64),
     ];
     let mut total = 0u64;
     for i in 0..nodes.len() {
@@ -737,7 +766,7 @@ fn render_metrics_json(core: &dyn CoreHandle, derived: Option<&Derived>) -> Stri
             first = false;
             out.push_str(&format!("\n    {}: {}", jstr(k), jfloat(v)));
         }
-        for (k, v) in runtime_gauges(core) {
+        for (k, v) in runtime_gauges(core, &c.spans) {
             if !first {
                 out.push(',');
             }
@@ -820,7 +849,7 @@ fn render_metrics_prom(core: &dyn CoreHandle, derived: Option<&Derived>) -> Stri
     let mut out = String::new();
     out.push_str("# TYPE quicksand_uptime_seconds gauge\n");
     out.push_str(&format!("quicksand_uptime_seconds {}\n", core.uptime().as_micros() as f64 / 1e6));
-    {
+    let gauges = {
         let c = core.lock_core();
         for (k, v) in c.metrics.counters() {
             out.push_str(&format!("# TYPE {} counter\n{} {}\n", prom_name(k), prom_name(k), v));
@@ -882,8 +911,9 @@ fn render_metrics_prom(core: &dyn CoreHandle, derived: Option<&Derived>) -> Stri
                 ));
             }
         }
-    }
-    for (k, v) in runtime_gauges(core) {
+        runtime_gauges(core, &c.spans)
+    };
+    for (k, v) in gauges {
         out.push_str(&format!("{} {}\n", prom_series(&k), fmt_prom(v)));
     }
     if let Some(d) = derived {

@@ -10,11 +10,13 @@
 //! - **eviction accounting is exact**: `evicted()` always equals
 //!   `total_recorded() - len()`, and the ring never exceeds capacity.
 
-use std::collections::BTreeSet;
+mod common;
+
 use std::time::Duration;
 
+use common::assert_slice_closed;
 use quicksand_runtime::RuntimeBuilder;
-use sim::{Actor, CausalSlice, Context, NodeId, SimDuration};
+use sim::{Actor, Context, NodeId, SimDuration};
 
 /// Deliberately tiny: the volley below records two orders of magnitude
 /// more events than this, so eviction churns for most of the run.
@@ -55,32 +57,6 @@ impl Actor<Ball> for Pinger {
     }
 }
 
-/// A slice is happens-before-closed when no member's cause edge dangles
-/// silently: it either lands on another member or is accounted for by
-/// the truncation flag.
-fn assert_slice_closed(slice: &CausalSlice) {
-    let members: BTreeSet<u64> = slice.events.iter().map(|e| e.id.0).collect();
-    let dangling: Vec<u64> = slice
-        .events
-        .iter()
-        .filter_map(|e| e.cause)
-        .map(|c| c.0)
-        .filter(|c| !members.contains(c))
-        .collect();
-    if !dangling.is_empty() {
-        assert!(
-            slice.truncated,
-            "slice for E{} has dangling causes {dangling:?} but is not flagged truncated",
-            slice.target.0
-        );
-        assert!(
-            slice.missing_ancestors > 0,
-            "truncated slice for E{} counts zero missing ancestors",
-            slice.target.0
-        );
-    }
-}
-
 #[test]
 fn ring_eviction_under_concurrent_load_keeps_slices_closed() {
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -111,7 +87,7 @@ fn ring_eviction_under_concurrent_load_keeps_slices_closed() {
                 "eviction accounting drifted mid-run"
             );
             if let Some(target) = f.last_matching(|_| true) {
-                assert_slice_closed(&f.slice(target, &c.spans));
+                assert_slice_closed(&f.slice(target, &c.spans), &c.spans);
                 probes += 1;
             }
         });
@@ -133,6 +109,6 @@ fn ring_eviction_under_concurrent_load_keeps_slices_closed() {
 
     // Post-quiescence, every retained event's slice is closed too.
     for probe in [f.first_retained(), f.total_recorded() - 1] {
-        assert_slice_closed(&f.slice(sim::FlightId(probe), &report.core.spans));
+        assert_slice_closed(&f.slice(sim::FlightId(probe), &report.core.spans), &report.core.spans);
     }
 }

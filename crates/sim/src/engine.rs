@@ -297,12 +297,12 @@ impl EngineCore {
     /// Engine-agnostic [`Explanation`] construction — the one shared
     /// path both engines render post-mortems through. Snapshots the
     /// O(ancestors) causal slice behind `target` together with the
-    /// active plan and span store. `None` when the flight recorder is
-    /// disabled.
+    /// active plan and the spans the slice touches. `None` when the
+    /// flight recorder is disabled.
     pub fn explain_target(&self, target: FlightId) -> Option<Explanation> {
         let flight = self.flight.as_ref()?;
         let slice = flight.slice(target, &self.spans);
-        Some(Explanation::new(self.seed, slice, self.plan.clone(), self.spans.clone()))
+        Some(Explanation::new(self.seed, slice, self.plan.clone(), &self.spans))
     }
 
     /// Explain the most forensically interesting event: the last

@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 use crate::chaos::FaultPlan;
 use crate::flight::{CausalSlice, FlightEvent, FlightKind};
 use crate::json;
-use crate::span::SpanStore;
+use crate::span::{SpanRecord, SpanStore};
 use crate::time::SimTime;
 
 /// A rendered forensic explanation of one event: the causal slice, the
@@ -37,40 +37,41 @@ pub struct Explanation {
     pub slice: CausalSlice,
     /// The fault plan active during the run.
     pub plan: FaultPlan,
-    /// The run's span store (used for lane context and the filtered
-    /// Perfetto export).
-    pub spans: SpanStore,
+    /// The spans the slice touches, ancestors included, in allocation
+    /// order — the filtered Perfetto export. A copy of these few, not
+    /// of the run's store, so a retained explanation stays small.
+    pub spans: Vec<SpanRecord>,
+    /// How many spans the slice touches that a bounded store had
+    /// already evicted (their share of `slice.missing_ancestors`).
+    pub evicted_spans: u64,
     /// Names of the invariants the run violated (empty when the
     /// explanation was requested out of curiosity rather than failure).
     pub violations: Vec<String>,
 }
 
 impl Explanation {
-    /// Package a slice with the plan and spans that produced it.
-    pub fn new(seed: u64, slice: CausalSlice, plan: FaultPlan, spans: SpanStore) -> Self {
-        Explanation { seed, slice, plan, spans, violations: Vec::new() }
+    /// Package a slice with the plan that produced it and the spans of
+    /// `store` it touches.
+    pub fn new(seed: u64, slice: CausalSlice, plan: FaultPlan, store: &SpanStore) -> Self {
+        let mut touched = BTreeSet::new();
+        for ev in &slice.events {
+            let mut span = ev.span;
+            while let Some(s) = span {
+                if !touched.insert(s) {
+                    break;
+                }
+                span = store.get(s).and_then(|rec| rec.parent);
+            }
+        }
+        let evicted_spans = touched.iter().filter(|&&s| store.was_evicted(s)).count() as u64;
+        let spans = touched.iter().filter_map(|&s| store.get(s).cloned()).collect();
+        Explanation { seed, slice, plan, spans, evicted_spans, violations: Vec::new() }
     }
 
     /// Attach the violated invariant names (builder-style).
     pub fn with_violations(mut self, violations: Vec<String>) -> Self {
         self.violations = violations;
         self
-    }
-
-    /// Every span id the slice touches, including ancestors — the filter
-    /// set for the Perfetto export.
-    fn slice_spans(&self) -> BTreeSet<u64> {
-        let mut keep = BTreeSet::new();
-        for ev in &self.slice.events {
-            let mut span = ev.span;
-            while let Some(s) = span {
-                if !keep.insert(s.0) {
-                    break;
-                }
-                span = self.spans.get(s).and_then(|rec| rec.parent);
-            }
-        }
-        keep
     }
 
     /// The annotated text timeline. One lane per node (columns shift
@@ -90,7 +91,14 @@ impl Explanation {
         if !self.violations.is_empty() {
             out.push_str(&format!("violated: {}\n", self.violations.join(", ")));
         }
-        if self.slice.truncated {
+        if self.evicted_spans > 0 {
+            out.push_str(&format!(
+                "TRUNCATED: {} causal ancestor(s) evicted ({} from the flight ring, {} from the span store)\n",
+                self.slice.missing_ancestors,
+                self.slice.missing_ancestors.saturating_sub(self.evicted_spans),
+                self.evicted_spans
+            ));
+        } else if self.slice.truncated {
             out.push_str(&format!(
                 "TRUNCATED: {} causal ancestor(s) evicted from the flight ring\n",
                 self.slice.missing_ancestors
@@ -168,7 +176,6 @@ impl Explanation {
     /// in [`SpanStore::to_chrome_trace`]) plus each slice event as an
     /// instant event on its node's track, with its cause edge in `args`.
     pub fn perfetto_json(&self) -> String {
-        let keep = self.slice_spans();
         let mut out = String::from("[\n");
         let mut first = true;
         let mut push = |s: String, first: &mut bool| {
@@ -178,42 +185,8 @@ impl Explanation {
             *first = false;
             out.push_str(&s);
         };
-        for s in self.spans.spans() {
-            if !keep.contains(&s.id.0) {
-                continue;
-            }
-            let tid = s.node.map(|n| n.0 as i64).unwrap_or(-1);
-            let mut args = format!(
-                "\"span\":\"{}\",\"trace\":\"{}\",\"status\":\"{}\"",
-                s.id, s.trace, s.status
-            );
-            if let Some(p) = s.parent {
-                args.push_str(&format!(",\"parent\":\"{p}\""));
-            }
-            for (k, v) in &s.fields {
-                args.push(',');
-                args.push_str(&json::string(k));
-                args.push(':');
-                args.push_str(&json::string(v));
-            }
-            let rendered = match s.end {
-                Some(end) => format!(
-                    "{{\"name\":{},\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{{}}}}}",
-                    json::string(&s.name),
-                    s.start.as_micros(),
-                    end.saturating_since(s.start).as_micros(),
-                    tid,
-                    args
-                ),
-                None => format!(
-                    "{{\"name\":{},\"cat\":\"span\",\"ph\":\"i\",\"ts\":{},\"pid\":0,\"tid\":{},\"s\":\"t\",\"args\":{{{}}}}}",
-                    json::string(&s.name),
-                    s.start.as_micros(),
-                    tid,
-                    args
-                ),
-            };
-            push(rendered, &mut first);
+        for s in &self.spans {
+            push(s.to_chrome_event(), &mut first);
         }
         for ev in &self.slice.events {
             let tid = ev.node.map(|n| n.0 as i64).unwrap_or(-1);
@@ -260,9 +233,16 @@ impl Explanation {
             out.push_str(&json::string(v));
         }
         out.push_str(&format!(
-            "],\"truncated\":{},\"missing_ancestors\":{},\"total_recorded\":{},\"plan\":{}",
-            self.slice.truncated,
-            self.slice.missing_ancestors,
+            "],\"truncated\":{},\"missing_ancestors\":{}",
+            self.slice.truncated, self.slice.missing_ancestors,
+        ));
+        // Only a bounded store evicts: the simulator's artifacts stay
+        // byte-identical without the key.
+        if self.evicted_spans > 0 {
+            out.push_str(&format!(",\"evicted_spans\":{}", self.evicted_spans));
+        }
+        out.push_str(&format!(
+            ",\"total_recorded\":{},\"plan\":{}",
             self.slice.total_recorded,
             self.plan.to_json()
         ));
@@ -292,6 +272,8 @@ mod tests {
         let mut spans = SpanStore::new();
         let op = spans.open_span("guess.outstanding", Some(NodeId(1)), None, SimTime::ZERO);
         spans.finish_span(op, SimTime::from_micros(400), SpanStatus::Ok);
+        // A span the slice never touches.
+        spans.open_span("noise.op", Some(NodeId(3)), None, SimTime::from_micros(9));
         let mut fr = FlightRecorder::new(64);
         let root = fr.record(
             SimTime::from_micros(100),
@@ -329,7 +311,7 @@ mod tests {
             node: NodeId(2),
             restart_at: Some(SimTime::from_micros(300)),
         }]);
-        Explanation::new(7, slice, plan, spans)
+        Explanation::new(7, slice, plan, &spans)
             .with_violations(vec!["eventual-convergence".to_owned()])
     }
 
@@ -353,9 +335,8 @@ mod tests {
 
     #[test]
     fn perfetto_is_filtered_to_slice_spans() {
-        let mut e = build();
-        // A span the slice never touches must not be exported.
-        e.spans.open_span("noise.op", Some(NodeId(3)), None, SimTime::from_micros(9));
+        let e = build();
+        assert_eq!(e.spans.len(), 1, "the store's other span is not copied: {:?}", e.spans);
         let p = e.perfetto_json();
         assert!(p.starts_with("[\n") && p.trim_end().ends_with(']'), "{p}");
         assert!(p.contains("guess.outstanding"), "{p}");
@@ -370,6 +351,45 @@ mod tests {
         assert_eq!(e.render_text(), build().render_text());
         assert_eq!(e.to_json(), build().to_json());
         assert!(e.to_json().contains("\"perfetto\":["), "{}", e.to_json());
+    }
+
+    #[test]
+    fn span_side_truncation_is_reported_beside_the_flight_side() {
+        let whole = build();
+        assert_eq!(whole.evicted_spans, 0);
+        assert!(!whole.to_json().contains("evicted_spans"), "sim artifacts keep their bytes");
+        // The same story told from a store whose window has moved on.
+        let mut spans = SpanStore::bounded(1);
+        let op = spans.open_span("guess.outstanding", Some(NodeId(1)), None, SimTime::ZERO);
+        spans.finish_span(op, SimTime::from_micros(400), SpanStatus::Ok);
+        for _ in 0..2 {
+            let s = spans.open_span("noise.op", None, None, SimTime::from_micros(9));
+            spans.finish_span(s, SimTime::from_micros(9), SpanStatus::Ok);
+        }
+        let mut fr = FlightRecorder::new(64);
+        let target = fr.record(
+            SimTime::from_micros(400),
+            FlightKind::GuessResolve,
+            Some(NodeId(1)),
+            None,
+            Some(op),
+            None,
+            None,
+            Vec::new(),
+        );
+        let e = Explanation::new(7, fr.slice(target, &spans), FaultPlan::none(), &spans);
+        assert!(e.slice.truncated);
+        assert_eq!((e.evicted_spans, e.spans.len()), (1, 0));
+        let text = e.render_text();
+        assert!(
+            text.contains("TRUNCATED: 1 causal ancestor(s) evicted (0 from the flight ring, 1 from the span store)"),
+            "{text}"
+        );
+        assert!(
+            e.to_json().contains("\"missing_ancestors\":1,\"evicted_spans\":1,"),
+            "{}",
+            e.to_json()
+        );
     }
 
     #[test]

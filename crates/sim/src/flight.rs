@@ -208,7 +208,8 @@ pub struct CausalSlice {
     /// True when the walk crossed into evicted history: some causal
     /// ancestors exist but are no longer retained.
     pub truncated: bool,
-    /// How many distinct evicted ancestors the walk touched.
+    /// How many distinct evicted ancestors the walk touched: events
+    /// gone from the flight ring plus spans gone from the span store.
     pub missing_ancestors: u64,
     /// Events recorded over the whole run (the slice's denominator).
     pub total_recorded: u64,
@@ -380,14 +381,17 @@ impl FlightRecorder {
     /// Walks backwards over (a) each event's `cause` edge and (b) the
     /// span-parent chain of each event's span, pulling in the retained
     /// events of every ancestor span — O(ancestors), never a scan of the
-    /// full history. When the walk reaches an evicted ancestor the slice
-    /// is flagged `truncated` and the dangling edges are counted in
-    /// `missing_ancestors`, so a bounded ring can never silently pass
-    /// off a partial explanation as a complete one.
+    /// full history. When the walk reaches an evicted ancestor — an
+    /// event gone from this ring, or a span gone from a bounded `spans`
+    /// and its parent link with it — the slice is flagged `truncated`
+    /// and the dangling edges are counted in `missing_ancestors`, so a
+    /// bounded ring can never silently pass off a partial explanation as
+    /// a complete one.
     pub fn slice(&self, target: FlightId, spans: &SpanStore) -> CausalSlice {
         let mut member: BTreeSet<u64> = BTreeSet::new();
         let mut missing: BTreeSet<u64> = BTreeSet::new();
         let mut seen_spans: BTreeSet<u64> = BTreeSet::new();
+        let mut missing_spans = 0u64;
         let mut work: Vec<u64> = vec![target.0];
         if self.get(target).is_none() {
             missing.insert(target.0);
@@ -423,16 +427,23 @@ impl FlightRecorder {
                         }
                     }
                 }
-                span = spans.get(s).and_then(|rec| rec.parent);
+                span = match spans.get(s) {
+                    Some(rec) => rec.parent,
+                    None => {
+                        missing_spans += u64::from(spans.was_evicted(s));
+                        None
+                    }
+                };
             }
         }
+        let missing_ancestors = missing.len() as u64 + missing_spans;
         let events: Vec<FlightEvent> =
             member.iter().filter_map(|&id| self.get(FlightId(id)).cloned()).collect();
         CausalSlice {
             target,
             events,
-            truncated: !missing.is_empty(),
-            missing_ancestors: missing.len() as u64,
+            truncated: missing_ancestors > 0,
+            missing_ancestors,
             total_recorded: self.next_id,
         }
     }
@@ -513,6 +524,34 @@ mod tests {
         let slice = fr.slice(resolve, &spans);
         let ids: Vec<u64> = slice.events.iter().map(|e| e.id.0).collect();
         assert_eq!(ids, vec![open.0, resolve.0]);
+    }
+
+    #[test]
+    fn slice_reports_truncation_when_a_span_parent_was_evicted() {
+        use crate::span::SpanStatus;
+        let mut fr = FlightRecorder::new(64);
+        let mut spans = SpanStore::bounded(2);
+        let op = spans.open_span("dynamo.put", Some(NodeId(0)), None, SimTime::ZERO);
+        let in_op = rec(&mut fr, 1, FlightKind::Timer, Some(op.0), None);
+        let hop = spans.open_span("net.hop", None, Some(op), SimTime::from_micros(2));
+        let deliver = rec(&mut fr, 3, FlightKind::Deliver, Some(hop.0), None);
+        // While `op` is retained the hop's delivery pulls in the event
+        // that ran under its parent, and the slice is complete.
+        let whole = fr.slice(deliver, &spans);
+        assert_eq!(whole.events.iter().map(|e| e.id).collect::<Vec<_>>(), vec![in_op, deliver]);
+        assert!(!whole.truncated);
+        // Push `hop` out of the window: its parent link goes with it.
+        spans.finish_span(op, SimTime::from_micros(4), SpanStatus::Ok);
+        spans.finish_span(hop, SimTime::from_micros(4), SpanStatus::Ok);
+        for _ in 0..3 {
+            let s = spans.open_span("noise", None, None, SimTime::from_micros(5));
+            spans.finish_span(s, SimTime::from_micros(6), SpanStatus::Ok);
+        }
+        assert!(spans.was_evicted(hop));
+        let cut = fr.slice(deliver, &spans);
+        assert_eq!(cut.events.iter().map(|e| e.id).collect::<Vec<_>>(), vec![deliver]);
+        assert!(cut.truncated, "a walk that ends at an evicted span must say so");
+        assert_eq!(cut.missing_ancestors, 1);
     }
 
     #[test]

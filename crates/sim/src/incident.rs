@@ -282,7 +282,7 @@ mod tests {
             missing_ancestors: 0,
             total_recorded: 10,
         };
-        Explanation::new(7, slice, FaultPlan::none(), SpanStore::new())
+        Explanation::new(7, slice, FaultPlan::none(), &SpanStore::new())
     }
 
     #[test]

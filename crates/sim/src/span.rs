@@ -33,6 +33,7 @@
 //! per line) or [`SpanStore::to_chrome_trace`] (loadable in Perfetto /
 //! `about://tracing`).
 
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::actor::NodeId;
@@ -203,10 +204,33 @@ impl SpanRecord {
     }
 }
 
-/// All spans recorded by one simulation run, in allocation order.
+/// The spans of one run, in allocation order.
+///
+/// [`SpanStore::new`] keeps every span: the simulator's exporters and
+/// byte-identity tests need the whole run. [`SpanStore::bounded`] keeps
+/// a retention window, with the contract
+/// [`crate::flight::FlightRecorder`] has: ids stay dense and
+/// allocation-ordered whatever is retained, every span opened evicts
+/// the oldest *finished* one, a lookup of an evicted id is `None` (a
+/// mutation of one, a no-op), and the store says what it dropped
+/// ([`SpanStore::evicted`], [`SpanStore::first_retained`]).
+///
+/// **Open spans are never evicted** — guesses and crash-closes read
+/// their `start` and `node`. One that eviction reaches is set aside
+/// instead, so it does not shield the finished spans behind it; having
+/// outlived the window it is dropped when it finishes. So
+/// `retained() <= capacity + open`, however long a guess stays stuck.
 #[derive(Debug, Default, Clone)]
 pub struct SpanStore {
-    spans: Vec<SpanRecord>,
+    /// The dense retention window: `window[i]` is span `window_base + i`.
+    window: VecDeque<SpanRecord>,
+    window_base: u64,
+    /// Spans still open when eviction reached them (all older than the
+    /// window, all open).
+    held: BTreeMap<u64, SpanRecord>,
+    /// `None` retains everything.
+    capacity: Option<usize>,
+    next_id: u64,
     next_trace: u64,
     /// Ids of spans not yet finished, kept sorted for deterministic
     /// crash-close order.
@@ -214,12 +238,20 @@ pub struct SpanStore {
 }
 
 impl SpanStore {
-    /// An empty store.
+    /// An empty store that retains every span.
     pub fn new() -> Self {
         SpanStore::default()
     }
 
-    /// Open a new span. `parent: None` makes it a root of a fresh trace.
+    /// An empty store that retains the `capacity` most recently opened
+    /// spans, plus every older span that is still open.
+    pub fn bounded(capacity: usize) -> Self {
+        SpanStore { capacity: Some(capacity), ..SpanStore::default() }
+    }
+
+    /// Open a new span. `parent: None` makes it a root of a fresh trace;
+    /// so does a parent that has been evicted (the span keeps the
+    /// dangling `parent`, but which trace that was is no longer known).
     ///
     /// Actor code should go through [`crate::actor::Context`] (which
     /// handles ambient propagation); this is public for round-based
@@ -231,16 +263,20 @@ impl SpanStore {
         parent: Option<SpanId>,
         start: SimTime,
     ) -> SpanId {
-        let id = SpanId(self.spans.len() as u64);
-        let trace = match parent {
-            Some(p) => self.spans[p.0 as usize].trace,
+        let id = SpanId(self.next_id);
+        self.next_id += 1;
+        let trace = match parent.and_then(|p| self.get(p)) {
+            Some(p) => p.trace,
             None => {
                 let t = TraceId(self.next_trace);
                 self.next_trace += 1;
                 t
             }
         };
-        self.spans.push(SpanRecord {
+        if self.capacity.is_some_and(|cap| self.window.len() >= cap) {
+            self.evict_oldest_finished();
+        }
+        self.window.push_back(SpanRecord {
             id,
             trace,
             parent,
@@ -255,10 +291,30 @@ impl SpanStore {
         id
     }
 
+    /// Drop the oldest finished span of the window, setting aside the
+    /// open ones in front of it.
+    fn evict_oldest_finished(&mut self) {
+        while let Some(rec) = self.window.pop_front() {
+            self.window_base += 1;
+            if rec.status != SpanStatus::Open {
+                return;
+            }
+            self.held.insert(rec.id.0, rec);
+        }
+    }
+
+    fn get_mut(&mut self, id: SpanId) -> Option<&mut SpanRecord> {
+        match id.0.checked_sub(self.window_base) {
+            Some(i) => self.window.get_mut(i as usize),
+            None => self.held.get_mut(&id.0),
+        }
+    }
+
     /// Finish `id` (idempotent: finishing a finished span is a no-op, so
-    /// a crash-closed span keeps its `crashed` status).
+    /// a crash-closed span keeps its `crashed` status; so is finishing
+    /// an evicted one).
     pub fn finish_span(&mut self, id: SpanId, end: SimTime, status: SpanStatus) {
-        let rec = &mut self.spans[id.0 as usize];
+        let Some(rec) = self.get_mut(id) else { return };
         if rec.status != SpanStatus::Open {
             return;
         }
@@ -267,66 +323,95 @@ impl SpanStore {
         if let Ok(i) = self.open.binary_search(&id.0) {
             self.open.remove(i);
         }
+        if id.0 < self.window_base {
+            // Only its being open kept a held span from eviction.
+            self.held.remove(&id.0);
+        }
     }
 
-    /// Append a field to `id`.
+    /// Append a field to `id` (a no-op on an evicted span).
     pub fn add_field(&mut self, id: SpanId, key: &str, value: String) {
-        self.spans[id.0 as usize].fields.push((key.to_owned(), value));
+        if let Some(rec) = self.get_mut(id) {
+            rec.fields.push((key.to_owned(), value));
+        }
     }
 
     /// Close every open span owned by `node` with `Crashed` status.
     pub(crate) fn close_node_spans(&mut self, node: NodeId, at: SimTime) {
-        let to_close: Vec<u64> = self
-            .open
-            .iter()
-            .copied()
-            .filter(|&i| self.spans[i as usize].node == Some(node))
-            .collect();
-        for i in to_close {
-            self.finish_span(SpanId(i), at, SpanStatus::Crashed);
+        let to_close: Vec<SpanId> =
+            self.open_spans().filter(|s| s.node == Some(node)).map(|s| s.id).collect();
+        for id in to_close {
+            self.finish_span(id, at, SpanStatus::Crashed);
         }
     }
 
-    /// All spans in allocation order.
-    pub fn spans(&self) -> &[SpanRecord] {
-        &self.spans
+    /// The retained spans, in allocation order.
+    pub fn spans(&self) -> impl DoubleEndedIterator<Item = &SpanRecord> {
+        self.held.values().chain(&self.window)
     }
 
-    /// Look up one span.
+    /// Look up one span (`None` if evicted or never recorded).
     pub fn get(&self, id: SpanId) -> Option<&SpanRecord> {
-        self.spans.get(id.0 as usize)
+        match id.0.checked_sub(self.window_base) {
+            Some(i) => self.window.get(i as usize),
+            None => self.held.get(&id.0),
+        }
     }
 
-    /// Number of recorded spans.
+    /// Spans opened over the run's lifetime, including evicted ones.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.next_id as usize
     }
 
     /// True if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.next_id == 0
+    }
+
+    /// Number of retained spans.
+    pub fn retained(&self) -> usize {
+        self.held.len() + self.window.len()
+    }
+
+    /// How many recorded spans have been evicted.
+    pub fn evicted(&self) -> u64 {
+        self.next_id - self.retained() as u64
+    }
+
+    /// The id of the oldest retained span (equals [`SpanStore::len`]
+    /// when nothing is retained). Every id below it is evicted. When
+    /// the oldest is an open span older than the window, so are the
+    /// finished ones between it and the window: ask
+    /// [`SpanStore::was_evicted`] about one id.
+    pub fn first_retained(&self) -> u64 {
+        self.held.keys().next().copied().unwrap_or(self.window_base)
+    }
+
+    /// True when `id` was recorded and has since been evicted.
+    pub fn was_evicted(&self, id: SpanId) -> bool {
+        id.0 < self.next_id && self.get(id).is_none()
     }
 
     /// Spans still open (e.g. in-flight at the end of the run).
     pub fn open_spans(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.open.iter().map(|&i| &self.spans[i as usize])
+        self.open.iter().filter_map(|&i| self.get(SpanId(i)))
     }
 
-    /// Direct children of `id`, in allocation order.
+    /// Retained direct children of `id`, in allocation order.
     pub fn children(&self, id: SpanId) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(move |s| s.parent == Some(id))
+        self.spans().filter(move |s| s.parent == Some(id))
     }
 
-    /// The roots (spans with no parent), in allocation order.
+    /// The retained roots (spans with no parent), in allocation order.
     pub fn roots(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.spans.iter().filter(|s| s.parent.is_none())
+        self.spans().filter(|s| s.parent.is_none())
     }
 
     /// JSONL export: one span object per line, allocation order.
     /// Byte-identical across same-seed runs.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for s in &self.spans {
+        for s in self.spans() {
             out.push_str(&s.to_json());
             out.push('\n');
         }
@@ -339,7 +424,7 @@ impl SpanStore {
     /// are emitted as instant events so nothing is silently missing.
     pub fn to_chrome_trace(&self) -> String {
         let mut out = String::from("[\n");
-        for (i, s) in self.spans.iter().enumerate() {
+        for (i, s) in self.spans().enumerate() {
             if i > 0 {
                 out.push_str(",\n");
             }
@@ -351,9 +436,17 @@ impl SpanStore {
 
     /// Render the subtree under `id` as an indented text tree with
     /// per-span duration — the thing to print when debugging a latency.
+    /// A span whose parent has been evicted hangs under an `(evicted)`
+    /// line, so an orphan is not mistaken for a root.
     pub fn render_tree(&self, id: SpanId) -> String {
         let mut out = String::new();
-        self.render_into(id, 0, &mut out);
+        match self.get(id).and_then(|s| s.parent).filter(|&p| self.was_evicted(p)) {
+            Some(p) => {
+                out.push_str(&format!("(evicted) [{p}]\n"));
+                self.render_into(id, 1, &mut out);
+            }
+            None => self.render_into(id, 0, &mut out),
+        }
         out
     }
 
@@ -438,5 +531,134 @@ mod tests {
         let tree = st.render_tree(a);
         assert!(tree.contains("cart.edit"), "{tree}");
         assert!(tree.contains("  net.hop"), "{tree}");
+    }
+
+    fn at(us: u64) -> SimTime {
+        SimTime::from_micros(us)
+    }
+
+    /// Open and finish one span, the way a delivered hop does.
+    fn churn(st: &mut SpanStore, n: u64) {
+        for i in 0..n {
+            let s = st.open_span("net.hop", None, None, at(i));
+            st.finish_span(s, at(i + 1), SpanStatus::Ok);
+        }
+    }
+
+    #[test]
+    fn eviction_is_oldest_finished_first_and_ids_stay_dense() {
+        let mut st = SpanStore::bounded(4);
+        for i in 0..10u64 {
+            let s = st.open_span("op", Some(NodeId(0)), None, at(i));
+            assert_eq!(s, SpanId(i), "ids are allocation order whatever was evicted");
+            st.finish_span(s, at(i + 1), SpanStatus::Ok);
+        }
+        assert_eq!((st.len(), st.retained(), st.evicted(), st.first_retained()), (10, 4, 6, 6));
+        assert_eq!(st.spans().map(|s| s.id.0).collect::<Vec<_>>(), vec![6, 7, 8, 9]);
+        for i in 0..10u64 {
+            assert_eq!(st.get(SpanId(i)).map(|s| s.id.0), (i >= 6).then_some(i));
+            assert_eq!(st.was_evicted(SpanId(i)), i < 6);
+        }
+        assert!(st.get(SpanId(10)).is_none() && !st.was_evicted(SpanId(10)), "never recorded");
+        assert_eq!(SpanStore::new().first_retained(), 0);
+    }
+
+    #[test]
+    fn an_open_span_outlives_the_window_and_does_not_shield_finished_ones() {
+        let cap = 8u64;
+        let mut st = SpanStore::bounded(cap as usize);
+        let stuck = st.open_span("guess.outstanding", Some(NodeId(1)), None, at(3));
+        churn(&mut st, 10 * cap);
+        // Still there, still writable, and the finished spans behind it
+        // were evicted all the same: one stuck guess costs one record.
+        assert_eq!(st.get(stuck).map(|s| (s.start, s.node)), Some((at(3), Some(NodeId(1)))));
+        assert_eq!(st.retained() as u64, cap + 1);
+        assert_eq!(st.first_retained(), stuck.0);
+        assert_eq!(st.open_spans().map(|s| s.id).collect::<Vec<_>>(), vec![stuck]);
+        assert_eq!(st.spans().next().map(|s| s.id), Some(stuck), "allocation order");
+        st.add_field(stuck, "resolution", "confirmed".to_owned());
+        assert_eq!(st.get(stuck).unwrap().fields.len(), 1);
+        let before = st.evicted();
+        st.finish_span(stuck, at(999), SpanStatus::Ok);
+        // Finished and older than the whole window: gone at once.
+        assert!(st.was_evicted(stuck));
+        assert_eq!(st.evicted(), before + 1);
+        assert_eq!(st.open_spans().count(), 0);
+        assert_eq!(st.first_retained(), st.len() as u64 - cap);
+    }
+
+    #[test]
+    fn evicted_ids_are_inert_never_a_panic() {
+        let mut st = SpanStore::bounded(2);
+        let old = st.open_span("op", Some(NodeId(0)), None, at(0));
+        st.finish_span(old, at(1), SpanStatus::Ok);
+        churn(&mut st, 5);
+        assert!(st.get(old).is_none());
+        st.finish_span(old, at(9), SpanStatus::Failed);
+        st.add_field(old, "k", "v".to_owned());
+        assert_eq!(st.children(old).count(), 0);
+        assert_eq!(st.render_tree(old), "");
+        let never = SpanId(1_000_000);
+        st.finish_span(never, at(9), SpanStatus::Ok);
+        st.add_field(never, "k", "v".to_owned());
+        assert!(st.get(never).is_none());
+        // A child of an evicted parent keeps the dangling link and roots
+        // a trace of its own.
+        let newest_trace = st.spans().map(|s| s.trace).max().unwrap();
+        let orphan = st.open_span("op.child", Some(NodeId(0)), Some(old), at(10));
+        let rec = st.get(orphan).unwrap();
+        assert_eq!(rec.parent, Some(old));
+        assert!(rec.trace > newest_trace, "fresh trace, got {}", rec.trace);
+        let tree = st.render_tree(orphan);
+        assert_eq!(tree, format!("(evicted) [{old}]\n  op.child [{orphan}] open\n"));
+        // Zero capacity keeps only what is open (and the newest span).
+        let mut none = SpanStore::bounded(0);
+        let held = none.open_span("held", None, None, at(0));
+        churn(&mut none, 3);
+        assert!(none.get(held).is_some());
+        assert_eq!(none.len() as u64, none.evicted() + none.retained() as u64);
+    }
+
+    #[test]
+    fn crash_close_reaches_an_open_span_older_than_the_window() {
+        let mut st = SpanStore::bounded(4);
+        let mine = st.open_span("dynamo.put", Some(NodeId(0)), None, at(0));
+        let theirs = st.open_span("dynamo.put", Some(NodeId(1)), None, at(0));
+        churn(&mut st, 40);
+        st.close_node_spans(NodeId(0), at(50));
+        assert!(st.was_evicted(mine), "crash-closed, so no longer held");
+        assert_eq!(st.open_spans().map(|s| s.id).collect::<Vec<_>>(), vec![theirs]);
+        assert_eq!(st.get(theirs).unwrap().status, SpanStatus::Open);
+        // In the window a crash-close is visible as one.
+        let young = st.open_span("dynamo.get", Some(NodeId(1)), None, at(60));
+        st.close_node_spans(NodeId(1), at(61));
+        assert_eq!(st.get(young).unwrap().status, SpanStatus::Crashed);
+        assert_eq!(st.open_spans().count(), 0);
+    }
+
+    #[test]
+    fn accounting_adds_up_at_every_step() {
+        let mut st = SpanStore::bounded(3);
+        let mut open = Vec::new();
+        for i in 0..200u64 {
+            let parent = open.last().copied().filter(|_| i % 3 == 0);
+            let s = st.open_span("op", Some(NodeId((i % 2) as usize)), parent, at(i));
+            if i % 7 == 0 {
+                open.push(s); // left open for a while
+            } else {
+                st.finish_span(s, at(i + 1), SpanStatus::Ok);
+            }
+            if i % 31 == 30 {
+                st.finish_span(open.remove(0), at(i + 1), SpanStatus::Failed);
+            }
+            assert_eq!(st.len() as u64, st.evicted() + st.retained() as u64);
+            assert_eq!(st.retained(), st.spans().count());
+            assert!(st.retained() <= 3 + st.open_spans().count(), "bounded by cap + open");
+            assert!(st.spans().map(|s| s.id).is_sorted());
+        }
+        // The unbounded store is the same type with nothing to evict.
+        let mut all = SpanStore::new();
+        churn(&mut all, 200);
+        assert_eq!((all.len(), all.retained(), all.evicted()), (200, 200, 0));
     }
 }

@@ -115,14 +115,11 @@ fn heal_pair_after_partition_groups_leaves_other_pairs_blocked() {
     // (blocked, dropped) — the drops surface as Dropped net.hop spans.
     sim.run_until(SimTime::from_millis(200));
     let spans = sim.spans();
-    let dropped_hops = spans
-        .spans()
-        .iter()
-        .filter(|s| s.name == "net.hop" && s.status == SpanStatus::Dropped)
-        .count();
+    let dropped_hops =
+        spans.spans().filter(|s| s.name == "net.hop" && s.status == SpanStatus::Dropped).count();
     assert!(dropped_hops > 0, "blocked 3->0 sends must show as dropped hops");
     let delivered_hops =
-        spans.spans().iter().filter(|s| s.name == "net.hop" && s.status == SpanStatus::Ok).count();
+        spans.spans().filter(|s| s.name == "net.hop" && s.status == SpanStatus::Ok).count();
     assert!(delivered_hops > 0, "healed 1->2 sends must still deliver");
 }
 

@@ -3,7 +3,10 @@
 //! the workspace stands on.
 
 use proptest::prelude::*;
-use sim::{Actor, Context, LinkConfig, Network, NodeId, SimDuration, SimTime, Simulation};
+use sim::{
+    Actor, Context, LinkConfig, Network, NodeId, SimDuration, SimTime, Simulation, SpanId,
+    SpanRecord, SpanStatus, SpanStore,
+};
 
 #[derive(Clone)]
 struct Ping;
@@ -80,5 +83,65 @@ proptest! {
             (delivered - expected).abs() < 0.12,
             "delivered {:.2}, expected {:.2}", delivered, expected
         );
+    }
+}
+
+/// Everything a span records except its trace id (a child opened under
+/// an evicted parent roots a fresh trace, so trace numbering is the one
+/// thing a window may change).
+fn shape(s: &SpanRecord) -> String {
+    s.to_json().replace(&format!("\"trace\":\"{}\",", s.trace), "")
+}
+
+proptest! {
+    /// A bounded store is a window over the unbounded one: under any
+    /// interleaving of open / finish / add_field — on live, finished,
+    /// evicted and never-allocated ids alike — nothing panics, the
+    /// accounting adds up, and every span the bounded store still
+    /// retains is the span the unbounded store recorded.
+    #[test]
+    fn bounded_store_is_a_window_over_the_unbounded_one(
+        cap in 0usize..12,
+        ops in prop::collection::vec((0u8..5, 0u64..400, 0u64..400), 0..300),
+    ) {
+        let mut all = SpanStore::new();
+        let mut win = SpanStore::bounded(cap);
+        for (step, (kind, a, b)) in ops.into_iter().enumerate() {
+            let now = SimTime::from_micros(step as u64);
+            // Any id up to a little past the newest.
+            let target = SpanId(a % (all.len() as u64 + 2));
+            match kind {
+                0 | 1 => {
+                    let parent = (kind == 1 && (target.0 as usize) < all.len()).then_some(target);
+                    let node = Some(NodeId((b % 3) as usize));
+                    let x = all.open_span("op", node, parent, now);
+                    let y = win.open_span("op", node, parent, now);
+                    prop_assert_eq!(x, y, "ids stay dense and allocation-ordered");
+                }
+                2 | 3 => {
+                    let status = if kind == 2 { SpanStatus::Ok } else { SpanStatus::Failed };
+                    all.finish_span(target, now, status);
+                    win.finish_span(target, now, status);
+                }
+                _ => {
+                    all.add_field(target, "k", b.to_string());
+                    win.add_field(target, "k", b.to_string());
+                }
+            }
+            prop_assert_eq!(win.len(), all.len());
+            prop_assert_eq!(win.len() as u64, win.evicted() + win.retained() as u64);
+            prop_assert!(win.retained() <= cap.max(1) + win.open_spans().count());
+        }
+        prop_assert_eq!(all.evicted(), 0);
+        for s in win.spans() {
+            let full = all.get(s.id).expect("the unbounded store keeps everything");
+            prop_assert_eq!(shape(s), shape(full));
+            if let Some(p) = s.parent.and_then(|p| win.get(p)) {
+                prop_assert_eq!(p.trace, s.trace, "a retained parent shares its trace");
+            }
+        }
+        // Open spans are never evicted, whatever their age.
+        let open = |st: &SpanStore| st.open_spans().map(|s| s.id).collect::<Vec<_>>();
+        prop_assert_eq!(open(&win), open(&all));
     }
 }

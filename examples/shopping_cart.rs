@@ -152,7 +152,6 @@ fn main() {
         if let Some(put) = report
             .spans
             .spans()
-            .iter()
             .find(|s| s.name == "dynamo.put" && report.spans.children(s.id).next().is_some())
         {
             println!();

@@ -747,7 +747,7 @@ mod tests {
                 SimTime::from_millis(10),
                 target,
                 Vec::new(),
-                Explanation::new(0, slice, plan(), SpanStore::new()),
+                Explanation::new(0, slice, plan(), &SpanStore::new()),
             );
         }
         core
